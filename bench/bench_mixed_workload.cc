@@ -180,11 +180,7 @@ void RunAnalytical(QueryService* service, QuerySpec query,
   obs.reopts = r.trace.reopts;
   obs.checks_fired = r.trace.checks_fired;
   obs.plan_cache = r.trace.plan_cache;
-  for (const TraceAttempt& a : r.trace.attempts) {
-    if (a.has_profile) {
-      obs.peak_qerror = std::max(obs.peak_qerror, PeakProfileQError(a.profile));
-    }
-  }
+  obs.peak_qerror = r.trace.peak_qerror;
   if (std::getenv("POPDB_DEBUG_DRIFT") != nullptr &&
       query_name == "oltp_mix_drift") {
     static std::mutex dbg_mu;
@@ -196,7 +192,7 @@ void RunAnalytical(QueryService* service, QuerySpec query,
                                : static_cast<long long>(r.rows[0][0].AsInt()),
                  obs.reopts, static_cast<long long>(obs.checks_fired),
                  obs.plan_cache.c_str(), r.trace.attempts.size());
-    for (const TraceAttempt& a : r.trace.attempts) {
+    for (const AttemptInfo& a : r.trace.attempts) {
       if (a.has_profile) {
         std::fprintf(stderr, "%s", RenderProfileText(a.profile).c_str());
       }

@@ -10,7 +10,9 @@
 # end, morsel parallelism, shared feedback stores, parallel executors,
 # write-path snapshot consistency, metrics registry, span tracer), then a
 # UBSan build over the tracing/metrics/runtime/parallel/network/write
-# suites.
+# suites, then an ASan build over the suites that move per-query records
+# (QueryTrace, the query log, the trace store) between threads and across
+# the wire.
 #
 # The release ctest runs everything including tests labeled "slow"
 # (parallel_stress_test); use `ctest -L fast` locally for the quick loop.
@@ -18,15 +20,17 @@
 # row-vs-batch differential suites in light mode (POPDB_EQUIV_LIGHT=1) —
 # the full corpus sweeps are release-only.
 #
-# Usage: ./ci.sh [--skip-tsan] [--skip-ubsan]
+# Usage: ./ci.sh [--skip-tsan] [--skip-ubsan] [--skip-asan]
 set -euo pipefail
 cd "$(dirname "$0")"
 
 SKIP_TSAN=0
 SKIP_UBSAN=0
+SKIP_ASAN=0
 for arg in "$@"; do
   [[ "$arg" == "--skip-tsan" ]] && SKIP_TSAN=1
   [[ "$arg" == "--skip-ubsan" ]] && SKIP_UBSAN=1
+  [[ "$arg" == "--skip-asan" ]] && SKIP_ASAN=1
 done
 
 echo "=== release build + full ctest ==="
@@ -232,6 +236,20 @@ else
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/txn_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/net_test
   UBSAN_OPTIONS="halt_on_error=1" ./build-ubsan/tests/dist_test
+fi
+
+if [[ "$SKIP_ASAN" == "1" ]]; then
+  echo "=== ASan stage skipped (--skip-asan) ==="
+else
+  echo "=== AddressSanitizer build + per-query record tests ==="
+  cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+        -DPOPDB_SANITIZE=address
+  cmake --build build-asan -j "$(nproc)" \
+        --target observability_test runtime_test net_test dist_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/observability_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/runtime_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/net_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/dist_test
 fi
 
 echo "=== ci.sh: all stages passed ==="

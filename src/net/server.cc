@@ -536,49 +536,41 @@ bool NetServer::HandleSubplan(ConnState* conn, const JsonValue& request) {
   // Subplans bypass FinishTicket, so the shard-local trace store and query
   // log are fed here: the shard's own `trace`/`query_log` endpoints resolve
   // subplan ids too.
-  if (traces_ != nullptr || service_->query_log() != nullptr) {
-    QueryTrace trace;
-    trace.query_id = query_id;
-    trace.query_name = result.query_name;
-    trace.session_id = conn->session_id;
-    trace.outcome = result.outcome;
-    if (!result.status.ok()) trace.status_message = result.status.message();
-    trace.execute_ms = result.execute_ms;
-    trace.total_ms = result.execute_ms;
-    trace.result_rows = result.rows_sent;
-    trace.plan_cache = "none";
-    TraceAttempt attempt;
-    attempt.execute_ms = result.execute_ms;
-    attempt.rows_returned = result.rows_sent;
-    attempt.reoptimized = !result.violation_json.empty();
-    if (!result.profile_json.empty()) {
-      Result<JsonValue> parsed_profile = JsonParse(result.profile_json);
-      if (parsed_profile.ok() &&
-          ProfileFromJson(parsed_profile.value(), &attempt.profile)) {
-        attempt.has_profile = true;
-      }
-    }
-    trace.attempts.push_back(std::move(attempt));
-    if (traces_ != nullptr) traces_->Emit(trace);
-    if (QueryLog* log = service_->query_log(); log != nullptr) {
-      QueryLogEntry entry;
-      entry.query_id = query_id;
-      entry.end_ms = NowMs();
-      entry.kind = "subplan";
-      entry.query_name = result.query_name;
-      entry.outcome = result.outcome;
-      if (!result.status.ok()) entry.status_message = result.status.message();
-      entry.plan_cache = "none";
-      entry.checks_fired = result.violation_json.empty() ? 0 : 1;
-      entry.execute_ms = result.execute_ms;
-      entry.total_ms = result.execute_ms;
-      entry.result_rows = result.rows_sent;
-      if (trace.attempts.back().has_profile) {
-        entry.peak_qerror = PeakProfileQError(trace.attempts.back().profile);
-      }
-      log->Append(std::move(entry));
+  QueryTrace trace;
+  trace.query_id = query_id;
+  trace.kind = "subplan";
+  trace.query_name = result.query_name;
+  trace.session_id = conn->session_id;
+  trace.outcome = result.outcome;
+  if (!result.status.ok()) trace.status_message = result.status.message();
+  trace.execute_ms = result.execute_ms;
+  trace.total_ms = result.execute_ms;
+  trace.result_rows = result.rows_sent;
+  AttemptInfo& attempt = trace.attempts.emplace_back();
+  attempt.execute_ms = result.execute_ms;
+  attempt.rows_returned = result.rows_sent;
+  if (!result.violation_json.empty()) {
+    // The fired CHECK's flavor, decoded once from the check_violation
+    // frame, feeds both the trace's reopt_flavor and the log's per-flavor
+    // counts.
+    Result<JsonValue> violation = JsonParse(result.violation_json);
+    const int64_t flavor =
+        violation.ok() ? violation.value().GetInt("flavor", 0) : 0;
+    attempt.reoptimized = true;
+    attempt.signal.flavor = static_cast<CheckFlavor>(flavor);
+    trace.check_events = 1;
+    trace.checks_fired = 1;
+    trace.flavor_fired[flavor] = 1;
+  }
+  if (!result.profile_json.empty()) {
+    Result<JsonValue> parsed_profile = JsonParse(result.profile_json);
+    if (parsed_profile.ok() &&
+        ProfileFromJson(parsed_profile.value(), &attempt.profile)) {
+      attempt.has_profile = true;
     }
   }
+  service_->RecordCompletion(&trace);
+  if (traces_ != nullptr) traces_->Emit(trace);
   if (!alive) return false;
 
   if (!result.violation_json.empty()) {

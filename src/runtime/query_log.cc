@@ -1,76 +1,10 @@
 #include "runtime/query_log.h"
 
-#include <cstdio>
-
-#include "common/json.h"
-#include "exec/operator.h"
+#include <utility>
 
 namespace popdb {
 
-uint64_t PlanTextDigest(const std::string& plan_text) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis.
-  for (const char c : plan_text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::string QueryLogEntry::ToJson() const {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("query_id").Int(query_id);
-  w.Key("end_ms").Double(end_ms);
-  w.Key("kind").String(kind);
-  w.Key("query").String(query_name);
-  if (!signature.empty()) w.Key("signature").String(signature);
-  // Hex keeps the digest lossless (JSON integers are signed 64-bit).
-  if (plan_digest != 0) {
-    char hex[19];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(plan_digest));
-    w.Key("plan_digest").String(hex);
-  }
-  w.Key("outcome").String(outcome);
-  if (!status_message.empty()) w.Key("status").String(status_message);
-  w.Key("plan_cache").String(plan_cache);
-  w.Key("reopts").Int(reopts);
-  w.Key("checks_fired").Int(checks_fired);
-  if (checks_fired > 0) {
-    w.Key("fired_by_flavor").BeginObject();
-    for (int f = 0; f < 6; ++f) {
-      if (flavor_fired[f] > 0) {
-        w.Key(CheckFlavorName(static_cast<CheckFlavor>(f)))
-            .Int(flavor_fired[f]);
-      }
-    }
-    w.EndObject();
-  }
-  w.Key("queue_ms").Double(queue_ms);
-  w.Key("optimize_ms").Double(optimize_ms);
-  w.Key("execute_ms").Double(execute_ms);
-  w.Key("total_ms").Double(total_ms);
-  w.Key("result_rows").Int(result_rows);
-  if (affected_rows >= 0) w.Key("affected_rows").Int(affected_rows);
-  if (peak_qerror >= 0) w.Key("peak_qerror").Double(peak_qerror);
-  w.Key("distributed").Bool(distributed);
-  if (!shards.empty()) {
-    w.Key("shards").BeginArray();
-    for (const ShardAttemptInfo& s : shards) {
-      w.BeginObject();
-      w.Key("shard").Int(s.shard);
-      w.Key("execute_ms").Double(s.execute_ms);
-      w.Key("rows").Int(s.rows);
-      w.Key("outcome").String(s.outcome);
-      w.EndObject();
-    }
-    w.EndArray();
-  }
-  w.EndObject();
-  return w.str();
-}
-
-void QueryLog::Append(QueryLogEntry entry) {
+void QueryLog::Append(QueryTrace entry) {
   std::lock_guard<std::mutex> lock(mu_);
   entries_.push_back(std::move(entry));
   if (static_cast<int64_t>(entries_.size()) > capacity_) {
@@ -79,19 +13,19 @@ void QueryLog::Append(QueryLogEntry entry) {
   ++total_;
 }
 
-std::vector<QueryLogEntry> QueryLog::Tail(int64_t limit) const {
+std::vector<QueryTrace> QueryLog::Tail(int64_t limit) const {
   std::lock_guard<std::mutex> lock(mu_);
   const int64_t n = static_cast<int64_t>(entries_.size());
   const int64_t take = (limit <= 0 || limit > n) ? n : limit;
-  return std::vector<QueryLogEntry>(entries_.end() - take, entries_.end());
+  return std::vector<QueryTrace>(entries_.end() - take, entries_.end());
 }
 
 std::string QueryLog::ToJsonArray(int64_t limit) const {
-  const std::vector<QueryLogEntry> tail = Tail(limit);
+  const std::vector<QueryTrace> tail = Tail(limit);
   std::string out = "[";
   for (size_t i = 0; i < tail.size(); ++i) {
     if (i > 0) out += ',';
-    out += tail[i].ToJson();
+    out += tail[i].ToLogJson();
   }
   out += ']';
   return out;

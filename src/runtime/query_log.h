@@ -7,72 +7,27 @@
 #include <string>
 #include <vector>
 
-#include "core/pop.h"
+#include "runtime/trace.h"
 
 namespace popdb {
 
-/// One structured query-log record: the always-on, machine-readable
-/// summary of a query's trip through the service. Unlike a QueryTrace it
-/// is deliberately small (no plan text, no per-operator profile) so the
-/// log can stay on for every query in production; the heavyweight trace is
-/// still reachable by id through the `trace` wire request.
-struct QueryLogEntry {
-  int64_t query_id = 0;
-  double end_ms = 0.0;  ///< Completion time, service monotonic clock (NowMs).
-  /// "query" (analytical read), "write" (INSERT/UPDATE/DELETE through the
-  /// write lane), or "subplan" (shard servers).
-  std::string kind = "query";
-  std::string query_name;
-  /// Canonical plan-cache signature (QueryCacheSignature): rebinds of the
-  /// same prepared statement share one signature, so the log groups by it.
-  std::string signature;
-  /// FNV-1a digest of the final executed plan's text — two entries with
-  /// equal signatures but different digests mean the plan changed
-  /// (re-optimization, epoch bump, stats refresh).
-  uint64_t plan_digest = 0;
-  std::string outcome;         ///< "ok", "error", "cancelled", "deadline".
-  std::string status_message;  ///< Non-ok detail.
-  std::string plan_cache = "none";  ///< "hit", "miss", "none", ...
-  int reopts = 0;
-  int64_t checks_fired = 0;
-  /// CHECK firings by flavor, indexed by CheckFlavor (LC, LCEM, ECB, ECWC,
-  /// ECDC, work-bound).
-  int64_t flavor_fired[6] = {0, 0, 0, 0, 0, 0};
-  double queue_ms = 0.0;
-  double optimize_ms = 0.0;
-  double execute_ms = 0.0;
-  double total_ms = 0.0;
-  int64_t result_rows = 0;
-  /// Rows inserted/updated/deleted; -1 for reads (omitted from the JSON).
-  int64_t affected_rows = -1;
-  /// Largest per-operator cardinality Q-error across all attempt profiles;
-  /// -1 when no completed, estimated operator was observed.
-  double peak_qerror = -1.0;
-  bool distributed = false;
-  /// Distributed queries: per-shard breakdown of the last attempt.
-  std::vector<ShardAttemptInfo> shards;
-
-  /// Compact single-line JSON rendering (one JSONL record).
-  std::string ToJson() const;
-};
-
-/// FNV-1a over a plan's text; 0 for the empty string is avoided by the
-/// offset basis, so 0 reliably means "no plan recorded".
-uint64_t PlanTextDigest(const std::string& plan_text);
-
 /// Bounded, thread-safe, always-on structured query log: a FIFO ring of
-/// the last `capacity` QueryLogEntry records. Writers append from service
-/// worker threads; readers snapshot concurrently (TSan-hammered).
+/// the last `capacity` finished queries' QueryTraces, rendered with
+/// ToLogJson(). Entries carry no plan text or profiles (see
+/// QueryService::RecordCompletion) so the log can stay on for every query
+/// in production; the full trace is still reachable by id through the
+/// `trace` wire request. Writers append from service worker threads;
+/// readers snapshot concurrently (TSan-hammered).
 class QueryLog {
  public:
   explicit QueryLog(int64_t capacity = 512)
       : capacity_(capacity < 1 ? 1 : capacity) {}
 
-  void Append(QueryLogEntry entry);
+  void Append(QueryTrace entry);
 
   /// The most recent min(limit, size) entries, oldest first. limit <= 0
   /// means "all retained entries".
-  std::vector<QueryLogEntry> Tail(int64_t limit = 0) const;
+  std::vector<QueryTrace> Tail(int64_t limit = 0) const;
 
   /// Tail() rendered as one JSON array (wire `query_log` payload).
   std::string ToJsonArray(int64_t limit = 0) const;
@@ -85,7 +40,7 @@ class QueryLog {
  private:
   const int64_t capacity_;
   mutable std::mutex mu_;
-  std::deque<QueryLogEntry> entries_;
+  std::deque<QueryTrace> entries_;
   int64_t total_ = 0;
 };
 

@@ -56,9 +56,6 @@ QueryService::QueryService(const Catalog& catalog, ServiceConfig config)
     : catalog_(catalog), config_(std::move(config)) {
   if (config_.num_workers < 1) config_.num_workers = 1;
   if (config_.queue_capacity < 1) config_.queue_capacity = 1;
-  // Service-level incremental-reopt switch: both it and the PopConfig knob
-  // must be on for executors to keep the DP memo across attempts.
-  if (!config_.incremental_reopt) config_.pop.incremental_reopt = false;
 
   MetricsRegistry& registry = metrics_.registry();
   for (int f = 0; f < 6; ++f) {
@@ -383,7 +380,7 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
     Result<std::vector<Row>> rows = config_.dist_backend->Execute(
         ticket->query_, &ticket->cancel_, FeedbackFor(ticket->session_id_),
         &stats, info);
-    FillTraceFromStats(stats, &trace);
+    FillTraceFromStats(&stats, &trace);
     result.status = rows.status();
     if (rows.ok()) result.rows = std::move(rows).TakeValue();
     metrics_.OnReopts(stats.reopts, trace.checks_fired);
@@ -411,7 +408,7 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
     Result<std::vector<Row>> rows =
         config_.use_pop ? exec.Execute(ticket->query_, &stats)
                         : exec.ExecuteStatic(ticket->query_, &stats);
-    FillTraceFromStats(stats, &trace);
+    FillTraceFromStats(&stats, &trace);
     result.status = rows.status();
     if (rows.ok()) result.rows = std::move(rows).TakeValue();
 
@@ -449,10 +446,12 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
                                                               ev.edge_set)];
       }
     }
-    for (const CheckEvent& ev : stats.check_events) {
-      if (ev.fired) flavor_fired_[static_cast<int>(ev.flavor)]->Increment();
+    for (int f = 0; f < 6; ++f) {
+      if (trace.flavor_fired[f] > 0) {
+        flavor_fired_[f]->Increment(trace.flavor_fired[f]);
+      }
     }
-    for (const AttemptInfo& a : stats.attempts) {
+    for (const AttemptInfo& a : trace.attempts) {
       if (a.has_profile) ObserveQErrors(a.profile);
     }
   }
@@ -462,52 +461,15 @@ void QueryService::RunOne(const std::shared_ptr<QueryTicket>& ticket) {
                       tracer.NowUs() - span_start_us, "query_id",
                       ticket->query_id_, tracer.Intern(ticket->trace_token_));
   }
-  FinishTicket(ticket, std::move(result), std::move(trace),
-               executed ? &stats : nullptr);
+  FinishTicket(ticket, std::move(result), std::move(trace));
 }
 
 void QueryService::FinishTicket(const std::shared_ptr<QueryTicket>& ticket,
-                                QueryResult result, QueryTrace trace,
-                                const ExecutionStats* stats) {
+                                QueryResult result, QueryTrace trace) {
   trace.total_ms = NowMs() - ticket->submit_ms_;
   trace.outcome = OutcomeName(result.status);
   if (!result.status.ok()) trace.status_message = result.status.ToString();
-
-  if (query_log_ != nullptr) {
-    QueryLogEntry entry;
-    entry.query_id = trace.query_id;
-    entry.end_ms = NowMs();
-    entry.query_name = trace.query_name;
-    entry.signature = QueryCacheSignature(ticket->query_);
-    entry.outcome = trace.outcome;
-    entry.status_message = trace.status_message;
-    entry.plan_cache = trace.plan_cache;
-    entry.reopts = trace.reopts;
-    entry.checks_fired = trace.checks_fired;
-    entry.queue_ms = trace.queue_ms;
-    entry.optimize_ms = trace.optimize_ms;
-    entry.execute_ms = trace.execute_ms;
-    entry.total_ms = trace.total_ms;
-    entry.result_rows = trace.result_rows;
-    if (stats != nullptr) {
-      for (const CheckEvent& ev : stats->check_events) {
-        if (ev.fired) ++entry.flavor_fired[static_cast<int>(ev.flavor)];
-      }
-    }
-    if (!trace.attempts.empty()) {
-      const TraceAttempt& last = trace.attempts.back();
-      entry.plan_digest = PlanTextDigest(last.plan_text);
-      entry.distributed = !last.shards.empty();
-      entry.shards = last.shards;
-    }
-    for (const TraceAttempt& a : trace.attempts) {
-      if (a.has_profile) {
-        entry.peak_qerror =
-            std::max(entry.peak_qerror, PeakProfileQError(a.profile));
-      }
-    }
-    query_log_->Append(std::move(entry));
-  }
+  RecordCompletion(&trace, &ticket->query_);
 
   switch (result.status.code()) {
     case StatusCode::kOk:
@@ -524,8 +486,8 @@ void QueryService::FinishTicket(const std::shared_ptr<QueryTicket>& ticket,
   }
   metrics_.RecordLatency(trace.total_ms);
 
-  result.trace = trace;
   if (config_.trace_sink != nullptr) config_.trace_sink->Emit(trace);
+  result.trace = std::move(trace);
 
   {
     std::lock_guard<std::mutex> lock(ticket->mu_);
@@ -533,6 +495,32 @@ void QueryService::FinishTicket(const std::shared_ptr<QueryTicket>& ticket,
     ticket->done_ = true;
   }
   ticket->cv_.notify_all();
+}
+
+void QueryService::RecordCompletion(QueryTrace* trace,
+                                    const QuerySpec* query) {
+  trace->end_ms = NowMs();
+  // Shard subplans record no plan text: their digest stays 0.
+  if (!trace->attempts.empty() && !trace->attempts.back().plan_text.empty()) {
+    trace->plan_digest = PlanTextDigest(trace->attempts.back().plan_text);
+  }
+  for (const AttemptInfo& a : trace->attempts) {
+    if (a.has_profile) {
+      trace->peak_qerror =
+          std::max(trace->peak_qerror, PeakProfileQError(a.profile));
+    }
+  }
+  if (query_log_ == nullptr) return;
+  // The log entry is the record minus its attempts, plus the final
+  // attempt's shards when it ran distributed.
+  std::vector<AttemptInfo> attempts = std::exchange(trace->attempts, {});
+  QueryTrace entry = *trace;
+  trace->attempts = std::move(attempts);
+  if (query != nullptr) entry.signature = QueryCacheSignature(*query);
+  if (trace->distributed()) {
+    entry.attempts.emplace_back().shards = trace->attempts.back().shards;
+  }
+  query_log_->Append(std::move(entry));
 }
 
 void QueryService::ObserveQErrors(const PlanProfileNode& node) {
@@ -594,20 +582,17 @@ WriteQueryResult QueryService::ExecuteWrite(const txn::WriteStatement& stmt) {
     if (out.stats_folded) stats_version_bumps_->Increment();
   }
 
-  if (query_log_ != nullptr) {
-    QueryLogEntry entry;
-    entry.query_id = out.query_id;
-    entry.end_ms = NowMs();
-    entry.kind = "write";
-    entry.query_name =
-        std::string(txn::WriteOpName(stmt.op)) + " " + stmt.table;
-    entry.outcome = OutcomeName(out.status);
-    if (!out.status.ok()) entry.status_message = out.status.ToString();
-    entry.total_ms = out.total_ms;
-    entry.execute_ms = out.total_ms;
-    entry.affected_rows = out.status.ok() ? out.affected_rows : 0;
-    query_log_->Append(std::move(entry));
-  }
+  QueryTrace trace;
+  trace.query_id = out.query_id;
+  trace.kind = "write";
+  trace.query_name =
+      std::string(txn::WriteOpName(stmt.op)) + " " + stmt.table;
+  trace.outcome = OutcomeName(out.status);
+  if (!out.status.ok()) trace.status_message = out.status.ToString();
+  trace.execute_ms = out.total_ms;
+  trace.total_ms = out.total_ms;
+  trace.affected_rows = out.status.ok() ? out.affected_rows : 0;
+  RecordCompletion(&trace);
   return out;
 }
 

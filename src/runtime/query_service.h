@@ -130,14 +130,6 @@ struct ServiceConfig {
   /// ranges (PlanCacheConfig::validity_hits). Off by default.
   bool plan_cache_validity_hits = false;
 
-  /// Incremental re-optimization (PopConfig::incremental_reopt surfaced as
-  /// a service knob): keep the DP memo alive across a query's
-  /// re-optimization attempts and warm-start it from cached skeletons on
-  /// plan-cache near misses. Plans are bit-identical either way; false
-  /// forces from-scratch DP per attempt (both this and pop.incremental_reopt
-  /// must be true for the incremental path).
-  bool incremental_reopt = true;
-
   /// Capacity of the always-on structured query log (the last N finished
   /// queries as compact JSONL records: signature, plan digest, cache
   /// outcome, re-opt count, CHECK firings by flavor, per-shard timings,
@@ -318,6 +310,13 @@ class QueryService {
   /// append their subplan executions to it.
   QueryLog* query_log() { return query_log_.get(); }
 
+  /// Completes a finished query's record — completion time, final-plan
+  /// digest, peak Q-error — and appends it to the query log without plan
+  /// text or profiles (only the final attempt's per-shard breakdown stays),
+  /// signed with `query`'s signature when given. Reads, writes, and shard
+  /// subplans all finish through here. Thread safe.
+  void RecordCompletion(QueryTrace* trace, const QuerySpec* query = nullptr);
+
   /// Attaches the write path. `writes` (not owned, may be null to detach)
   /// must outlive the service; the owner also owns the *mutable* catalog
   /// behind `catalog()`. Until attached, ExecuteWrite rejects every
@@ -337,11 +336,8 @@ class QueryService {
  private:
   void WorkerLoop();
   void RunOne(const std::shared_ptr<QueryTicket>& ticket);
-  /// `stats` (may be null for never-executed queries) provides the CHECK
-  /// flavor breakdown for the query-log entry.
   void FinishTicket(const std::shared_ptr<QueryTicket>& ticket,
-                    QueryResult result, QueryTrace trace,
-                    const ExecutionStats* stats = nullptr);
+                    QueryResult result, QueryTrace trace);
   /// Feeds every annotated operator's Q-error into qerror_hist_.
   void ObserveQErrors(const PlanProfileNode& node);
   /// Store for a session (the shared store, or the per-session one).

@@ -161,9 +161,9 @@ int64_t SessionRegistry::inflight_queries() const {
 void TraceStore::Emit(const QueryTrace& trace) {
   std::string json = trace.ToJson();
   std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = by_id_.emplace(trace.query_id, std::move(json));
+  auto [it, inserted] = by_id_.try_emplace(trace.query_id, std::move(json));
   if (!inserted) {
-    it->second = trace.ToJson();  // Re-emitted id: keep the newest trace.
+    it->second = std::move(json);  // Re-emitted id: keep the newest trace.
     return;
   }
   order_.push_back(trace.query_id);

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -794,12 +795,43 @@ TEST_F(DistTest, SubplanQueryDoneCarriesTimingAndProfile) {
 
   // The shard logged the subplan with the query's name.
   ASSERT_NE(nullptr, shards_[0]->service->query_log());
-  const std::vector<QueryLogEntry> tail =
+  const std::vector<QueryTrace> tail =
       shards_[0]->service->query_log()->Tail(0);
   ASSERT_FALSE(tail.empty());
   EXPECT_EQ("subplan", tail.back().kind);
   EXPECT_EQ("ok", tail.back().outcome);
+  EXPECT_EQ(0u, tail.back().plan_digest);  // Subplans carry no plan text.
   client.Close();
+
+  // A trap subplan: the shard-side CHECK fires, and the shard's log line
+  // and trace both report it, with the per-flavor counts summing to
+  // checks_fired.
+  ASSERT_TRUE(RunDist("SELECT o_class, COUNT(*) FROM orders, items "
+                      "WHERE o_id = i_order AND o_class = 7 "
+                      "AND o_subclass = 77 GROUP BY o_class")
+                  .ok());
+  int64_t fired = 0;
+  for (const std::unique_ptr<ShardProcess>& shard : shards_) {
+    for (const QueryTrace& e : shard->service->query_log()->Tail(0)) {
+      int64_t flavor_sum = 0;
+      for (int f = 0; f < 6; ++f) flavor_sum += e.flavor_fired[f];
+      EXPECT_EQ(e.checks_fired, flavor_sum) << e.ToLogJson();
+      if (e.checks_fired == 0) continue;
+      fired += e.checks_fired;
+      EXPECT_EQ("reoptimize", e.outcome);
+      std::optional<std::string> trace = shard->traces.Get(e.query_id);
+      ASSERT_TRUE(trace.has_value());
+      Result<JsonValue> parsed = JsonParse(*trace);
+      ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+      EXPECT_EQ(e.checks_fired, parsed.value().GetInt("checks_fired", -1));
+      const JsonValue* attempts = parsed.value().Find("attempts");
+      ASSERT_NE(nullptr, attempts);
+      ASSERT_EQ(1u, attempts->items().size());
+      EXPECT_NE("", attempts->items()[0].GetString("reopt_flavor", ""))
+          << *trace;
+    }
+  }
+  EXPECT_GE(fired, 1) << "no shard CHECK fired on the trap subplan";
 }
 
 // The coordinator's own per-shard gauges after a distributed query.

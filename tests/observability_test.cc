@@ -408,9 +408,9 @@ TEST(ServiceObservabilityTest, QueryLogRecordsTrapReoptimization) {
   service.Shutdown();
 
   ASSERT_NE(nullptr, service.query_log());
-  const std::vector<QueryLogEntry> tail = service.query_log()->Tail(0);
+  const std::vector<QueryTrace> tail = service.query_log()->Tail(0);
   ASSERT_EQ(1u, tail.size());
-  const QueryLogEntry& e = tail[0];
+  const QueryTrace& e = tail[0];
   EXPECT_EQ("query", e.kind);
   EXPECT_EQ("logged", e.query_name);
   EXPECT_EQ("ok", e.outcome);
@@ -424,7 +424,8 @@ TEST(ServiceObservabilityTest, QueryLogRecordsTrapReoptimization) {
   EXPECT_GT(e.total_ms, 0.0);
   // The trap's misestimate shows up as a large peak Q-error.
   EXPECT_GE(e.peak_qerror, 2.0);
-  EXPECT_FALSE(e.distributed);
+  EXPECT_FALSE(e.distributed());
+  EXPECT_TRUE(e.attempts.empty());  // The log keeps no plan text/profiles.
 }
 
 TEST(ServiceObservabilityTest, QueryLogCanBeDisabled) {
@@ -462,6 +463,98 @@ TEST(TraceJsonTest, EscapesQuotesNewlinesAndBackslashes) {
   EXPECT_EQ(std::string::npos, json.find('\t'));
   EXPECT_NE(std::string::npos, json.find("q\\\"uote\\nline\\\\slash"));
   EXPECT_NE(std::string::npos, json.find("tab\\there"));
+}
+
+// Golden bytes of a full trace: two attempts, the first re-optimized by
+// an LCEM CHECK and carrying an EXPLAIN ANALYZE profile, the second
+// distributed with a per-shard breakdown.
+TEST(TraceJsonTest, GoldenFullTrace) {
+  QueryTrace trace;
+  trace.query_id = 12;
+  trace.query_name = "golden";
+  trace.session_id = 3;
+  trace.priority = "high";
+  trace.outcome = "ok";
+  trace.shared_feedback = true;
+  trace.queue_ms = 0.5;
+  trace.optimize_ms = 1.25;
+  trace.execute_ms = 6.5;
+  trace.total_ms = 8.5;
+  trace.work = 1200;
+  trace.morsels = 4;
+  trace.parallel_work = 800;
+  trace.result_rows = 7;
+  trace.reopts = 1;
+  trace.check_events = 3;
+  trace.checks_fired = 1;
+  trace.plan_cache = "hit";
+  trace.plan_cache_age_ms = 42.5;
+
+  AttemptInfo first;
+  first.plan_text = "NLJN(orders, items)";
+  first.optimize_ms = 0.75;
+  first.execute_ms = 2.5;
+  first.work = 700;
+  first.reoptimized = true;
+  first.signal.flavor = CheckFlavor::kLazyEagerMat;
+  first.profile.name = "CHECK";
+  first.profile.detail = "LCEM [0,10]";
+  first.profile.est_rows = 10;
+  first.profile.est_cost = 55.5;
+  first.profile.actual_rows = 40;
+  first.profile.next_calls = 41;
+  first.profile.next_ms = 1.5;
+  PlanProfileNode scan;
+  scan.name = "TBSCAN";
+  scan.detail = "orders";
+  scan.est_rows = 10;
+  scan.actual_rows = 40;
+  scan.completed = true;
+  scan.batches = 2;
+  first.profile.children.push_back(scan);
+  first.has_profile = true;
+  trace.attempts.push_back(first);
+
+  AttemptInfo second;
+  second.plan_text = "HSJN(items, orders)";
+  second.optimize_ms = 0.5;
+  second.execute_ms = 4;
+  second.work = 500;
+  second.rows_returned = 7;
+  ShardAttemptInfo shard;
+  shard.shard = 0;
+  shard.execute_ms = 3.25;
+  shard.rows = 4;
+  shard.outcome = "ok";
+  second.shards.push_back(shard);
+  shard.shard = 1;
+  shard.rows = 3;
+  second.shards.push_back(shard);
+  trace.attempts.push_back(second);
+
+  EXPECT_EQ(
+      R"json({"query_id":12,"query":"golden","session":3,)json"
+      R"json("priority":"high","outcome":"ok","shared_feedback":true,)json"
+      R"json("latency_ms":{"queue":0.5,"optimize":1.25,"execute":6.5,)json"
+      R"json("total":8.5},"work":1200,"morsels":4,"parallel_work":800,)json"
+      R"json("result_rows":7,"reopts":1,"check_events":3,)json"
+      R"json("checks_fired":1,"plan_cache":"hit",)json"
+      R"json("plan_cache_age_ms":42.5,"attempts":[{"plan":"NLJN(orders,)json"
+      R"json( items)","optimize_ms":0.75,"execute_ms":2.5,"work":700,)json"
+      R"json("rows_returned":0,"reoptimized":true,"reopt_flavor":"LCEM",)json"
+      R"json("profile":{"op":"CHECK","detail":"LCEM [0,10]",)json"
+      R"json("est_rows":10,"est_cost":55.5,"act_rows":40,)json"
+      R"json("completed":false,"next_calls":41,"batches":0,"open_ms":0,)json"
+      R"json("next_ms":1.5,"close_ms":0,"children":[{"op":"TBSCAN",)json"
+      R"json("detail":"orders","est_rows":10,"est_cost":-1,"act_rows":40,)json"
+      R"json("completed":true,"next_calls":0,"batches":2,"open_ms":0,)json"
+      R"json("next_ms":0,"close_ms":0,"qerror":3.72727,"children":[]}]}},)json"
+      R"json({"plan":"HSJN(items, orders)","optimize_ms":0.5,)json"
+      R"json("execute_ms":4,"work":500,"rows_returned":7,)json"
+      R"json("reoptimized":false,"shards":[{"shard":0,"execute_ms":3.25,)json"
+      R"json("rows":4,"outcome":"ok"},{"shard":1,"execute_ms":3.25,)json"
+      R"json("rows":3,"outcome":"ok"}]}]})json",
+      trace.ToJson());
 }
 
 // ------------------------------------------------- multithreaded hammer.
@@ -602,7 +695,7 @@ TEST(QueryLogTest, RingEvictsOldestAndTracksTotals) {
   QueryLog log(/*capacity=*/3);
   EXPECT_EQ(3, log.capacity());
   for (int64_t i = 0; i < 5; ++i) {
-    QueryLogEntry e;
+    QueryTrace e;
     e.query_id = i;
     e.query_name = "q" + std::to_string(i);
     log.Append(std::move(e));
@@ -611,20 +704,22 @@ TEST(QueryLogTest, RingEvictsOldestAndTracksTotals) {
   EXPECT_EQ(5, log.total());
 
   // Oldest first; the first two entries were evicted.
-  const std::vector<QueryLogEntry> all = log.Tail(0);
+  const std::vector<QueryTrace> all = log.Tail(0);
   ASSERT_EQ(3u, all.size());
   EXPECT_EQ(2, all[0].query_id);
   EXPECT_EQ(4, all[2].query_id);
 
-  const std::vector<QueryLogEntry> last = log.Tail(2);
+  const std::vector<QueryTrace> last = log.Tail(2);
   ASSERT_EQ(2u, last.size());
   EXPECT_EQ(3, last[0].query_id);
   EXPECT_EQ(4, last[1].query_id);
 }
 
+// The log line of each kind, byte for byte: a distributed read, a write
+// (affected_rows), and a shard's subplan (a CHECK fired, no plan cache).
 TEST(QueryLogTest, ToJsonArrayIsParseableAndCarriesDigest) {
   QueryLog log(8);
-  QueryLogEntry e;
+  QueryTrace e;
   e.query_id = 41;
   e.kind = "query";
   e.query_name = "trap";
@@ -638,14 +733,38 @@ TEST(QueryLogTest, ToJsonArrayIsParseableAndCarriesDigest) {
   e.flavor_fired[2] = 1;  // ECB
   e.result_rows = 7;
   e.peak_qerror = 12.5;
-  e.distributed = true;
   ShardAttemptInfo shard;
   shard.shard = 1;
   shard.execute_ms = 3.25;
   shard.rows = 4;
   shard.outcome = "reoptimize";
-  e.shards.push_back(shard);
+  e.attempts.emplace_back().shards.push_back(shard);
   log.Append(std::move(e));
+
+  QueryTrace write;
+  write.query_id = 9;
+  write.end_ms = 100.5;
+  write.kind = "write";
+  write.query_name = "INSERT orders";
+  write.outcome = "ok";
+  write.execute_ms = 1.5;
+  write.total_ms = 1.5;
+  write.affected_rows = 3;
+  log.Append(std::move(write));
+
+  QueryTrace subplan;
+  subplan.query_id = 10;
+  subplan.end_ms = 101.25;
+  subplan.kind = "subplan";
+  subplan.query_name = "trap";
+  subplan.outcome = "reoptimize";
+  subplan.checks_fired = 1;
+  subplan.flavor_fired[1] = 1;  // LCEM
+  subplan.execute_ms = 2;
+  subplan.total_ms = 2;
+  subplan.result_rows = 5;
+  subplan.peak_qerror = 4;
+  log.Append(std::move(subplan));
 
   const std::string array = log.ToJsonArray(0);
   Result<JsonValue> parsed = JsonParse(array, {16, 1000000});
@@ -659,6 +778,26 @@ TEST(QueryLogTest, ToJsonArrayIsParseableAndCarriesDigest) {
   EXPECT_NE(std::string::npos, array.find("\"distributed\":true"));
   EXPECT_NE(std::string::npos, array.find("\"shard\":1"));
   EXPECT_NE(std::string::npos, array.find("\"outcome\":\"reoptimize\""));
+  EXPECT_EQ(
+      R"json([{"query_id":41,"end_ms":0,"kind":"query","query":"trap",)json"
+      R"json("signature":"sig-abc","plan_digest":"86bea2b871006c68",)json"
+      R"json("outcome":"ok","plan_cache":"miss","reopts":2,)json"
+      R"json("checks_fired":2,"fired_by_flavor":{"LC":1,"ECB":1},)json"
+      R"json("queue_ms":0,"optimize_ms":0,"execute_ms":0,"total_ms":0,)json"
+      R"json("result_rows":7,"peak_qerror":12.5,"distributed":true,)json"
+      R"json("shards":[{"shard":1,"execute_ms":3.25,"rows":4,)json"
+      R"json("outcome":"reoptimize"}]},{"query_id":9,"end_ms":100.5,)json"
+      R"json("kind":"write","query":"INSERT orders","outcome":"ok",)json"
+      R"json("plan_cache":"none","reopts":0,"checks_fired":0,)json"
+      R"json("queue_ms":0,"optimize_ms":0,"execute_ms":1.5,)json"
+      R"json("total_ms":1.5,"result_rows":0,"affected_rows":3,)json"
+      R"json("distributed":false},{"query_id":10,"end_ms":101.25,)json"
+      R"json("kind":"subplan","query":"trap","outcome":"reoptimize",)json"
+      R"json("plan_cache":"none","reopts":0,"checks_fired":1,)json"
+      R"json("fired_by_flavor":{"LCEM":1},"queue_ms":0,"optimize_ms":0,)json"
+      R"json("execute_ms":2,"total_ms":2,"result_rows":5,"peak_qerror":4,)json"
+      R"json("distributed":false}])json",
+      array);
 }
 
 TEST(QueryLogTest, PlanTextDigestDistinguishesPlans) {
@@ -684,7 +823,7 @@ TEST(ObservabilityConcurrencyTest, QueryLogHammer) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&, w]() {
       for (int i = 0; i < kPerWriter; ++i) {
-        QueryLogEntry e;
+        QueryTrace e;
         e.query_id = w * kPerWriter + i;
         e.query_name = "hammer";
         e.plan_digest = PlanTextDigest("plan" + std::to_string(i % 7));
@@ -694,20 +833,22 @@ TEST(ObservabilityConcurrencyTest, QueryLogHammer) {
           ShardAttemptInfo s;
           s.shard = i % 4;
           s.rows = i;
-          e.shards.push_back(s);
+          e.attempts.emplace_back().shards.push_back(s);
         }
         log.Append(std::move(e));
       }
     });
   }
   for (int r = 0; r < kReaders; ++r) {
+    // do/while: every reader snapshots at least once, even when the
+    // writers finish before it is scheduled.
     threads.emplace_back([&]() {
-      while (!done.load(std::memory_order_acquire)) {
-        const std::vector<QueryLogEntry> tail = log.Tail(16);
+      do {
+        const std::vector<QueryTrace> tail = log.Tail(16);
         if (tail.size() > 16u) std::abort();
         if (log.size() > log.capacity()) std::abort();
         read_bytes += static_cast<int64_t>(log.ToJsonArray(8).size());
-      }
+      } while (!done.load(std::memory_order_acquire));
     });
   }
   for (int w = 0; w < kWriters; ++w) threads[w].join();
