@@ -2,7 +2,9 @@
 // operator family. The paper reports that for queries that never
 // re-optimize, POP's only cost is counting rows at each CHECK and
 // comparing against the range — about 2-3% of total execution time
-// (Sections 1, 5.2). This benchmark isolates that per-row cost.
+// (Sections 1, 5.2). This benchmark isolates that per-row cost, pulling
+// through NextBatch at batch size 1 (one row per call) and at the
+// production batch size of 1024 (the benchmark argument).
 
 #include <benchmark/benchmark.h>
 
@@ -34,26 +36,34 @@ const Table& TestTable() {
   return *table;
 }
 
-int64_t Drain(Operator* op) {
+int64_t Drain(Operator* op, int64_t batch_rows) {
   ExecContext ctx;
+  ctx.batch_rows = batch_rows;
   int64_t rows = 0;
   ExecStatus s = op->Open(&ctx);
   POPDB_DCHECK(s == ExecStatus::kOk);
-  Row row;
-  while ((s = op->Next(&ctx, &row)) == ExecStatus::kRow) ++rows;
+  RowBatch batch;
+  while ((s = op->NextBatch(&ctx, &batch)) == ExecStatus::kRow) {
+    rows += batch.ActiveRows();
+  }
   op->Close(&ctx);
   POPDB_DCHECK(s == ExecStatus::kEof);
   return rows;
 }
 
+std::unique_ptr<TableScanOp> Scan() {
+  return std::make_unique<TableScanOp>(&TestTable(), 0,
+                                       std::vector<ResolvedPredicate>{});
+}
+
 void BM_PlainScan(benchmark::State& state) {
   for (auto _ : state) {
     TableScanOp scan(&TestTable(), 0, {});
-    benchmark::DoNotOptimize(Drain(&scan));
+    benchmark::DoNotOptimize(Drain(&scan, state.range(0)));
   }
   state.SetItemsProcessed(state.iterations() * kRows);
 }
-BENCHMARK(BM_PlainScan);
+BENCHMARK(BM_PlainScan)->Arg(1)->Arg(1024);
 
 void BM_ScanWithStreamingCheck(benchmark::State& state) {
   CheckSpec spec;
@@ -62,14 +72,26 @@ void BM_ScanWithStreamingCheck(benchmark::State& state) {
   spec.hi = 1e18;  // Never fires: measures pure counting overhead.
   spec.flavor = CheckFlavor::kEagerDeferredComp;
   for (auto _ : state) {
-    CheckOp check(std::make_unique<TableScanOp>(&TestTable(), 0,
-                                                std::vector<ResolvedPredicate>{}),
-                  spec);
-    benchmark::DoNotOptimize(Drain(&check));
+    CheckOp check(Scan(), spec);
+    benchmark::DoNotOptimize(Drain(&check, state.range(0)));
   }
   state.SetItemsProcessed(state.iterations() * kRows);
 }
-BENCHMARK(BM_ScanWithStreamingCheck);
+BENCHMARK(BM_ScanWithStreamingCheck)->Arg(1)->Arg(1024);
+
+void BM_ScanWithBufCheck(benchmark::State& state) {
+  CheckSpec spec;
+  spec.enabled = true;
+  spec.lo = 0;
+  spec.hi = 2 * kRows;  // Never fires; the valve buffers the whole input.
+  spec.flavor = CheckFlavor::kEagerBuffered;
+  for (auto _ : state) {
+    BufCheckOp check(Scan(), spec);
+    benchmark::DoNotOptimize(Drain(&check, state.range(0)));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_ScanWithBufCheck)->Arg(1)->Arg(1024);
 
 void BM_ScanWithLazyCheckOverTemp(benchmark::State& state) {
   CheckSpec spec;
@@ -78,16 +100,13 @@ void BM_ScanWithLazyCheckOverTemp(benchmark::State& state) {
   spec.hi = 1e18;
   spec.flavor = CheckFlavor::kLazyEagerMat;
   for (auto _ : state) {
-    auto temp = std::make_unique<TempOp>(
-        std::make_unique<TableScanOp>(&TestTable(), 0,
-                                      std::vector<ResolvedPredicate>{}),
-        TableBit(0));
-    CheckMaterializedOp check(std::move(temp), spec);
-    benchmark::DoNotOptimize(Drain(&check));
+    CheckMaterializedOp check(std::make_unique<TempOp>(Scan(), TableBit(0)),
+                              spec);
+    benchmark::DoNotOptimize(Drain(&check, state.range(0)));
   }
   state.SetItemsProcessed(state.iterations() * kRows);
 }
-BENCHMARK(BM_ScanWithLazyCheckOverTemp);
+BENCHMARK(BM_ScanWithLazyCheckOverTemp)->Arg(1)->Arg(1024);
 
 }  // namespace
 }  // namespace popdb

@@ -13,14 +13,12 @@
 // The headline target — >= 2x at dop 4 on the scan-heavy query — is
 // evaluated on the io-modeled mode.
 //
-// A second section compares the vectorized engine (batch_rows = 1024, the
-// production default) against row-at-a-time execution (batch_rows = 1) on
-// the pure-CPU (io-free) path: per-dop scaling curves for both engines,
-// the serial row-vs-batch ratio (vectorized must not be slower
-// single-threaded), and a single-thread sweep of the TPC-H paper queries.
-// Results go to BENCH_vectorized.json. The pure-CPU dop-4 target
-// (>= 2.5x vectorized) needs >= 4 hardware cores to be meaningful; on
-// smaller hosts the section reports the curves and flags the core count.
+// A second section times the engine itself at the production batch size
+// (1024): a single-thread sweep of the TPC-H paper queries — the baseline
+// a faster engine must beat — and the pure-CPU dop-4 speedup on the
+// scan-heavy query. Results go to BENCH_vectorized.json. The pure-CPU
+// dop-4 target (>= 2.5x) needs >= 4 hardware cores to be meaningful; on
+// smaller hosts the section reports the speedup and flags the core count.
 
 #include <chrono>
 #include <cstdio>
@@ -67,8 +65,7 @@ struct Point {
 };
 
 Point RunAtDop(const Catalog& catalog, const QuerySpec& query, int dop,
-               double stall_ms, int repeats, int trials,
-               int64_t batch_rows = 1024) {
+               double stall_ms, int repeats, int trials) {
   Point best;
   for (int trial = 0; trial < trials; ++trial) {
     MorselDispatcher pool(dop > 1 ? dop - 1 : 0);
@@ -77,7 +74,6 @@ Point RunAtDop(const Catalog& catalog, const QuerySpec& query, int dop,
     policy.morsel_rows = 256;
     policy.min_parallel_rows = 512;
     policy.morsel_stall_ms = stall_ms;
-    policy.batch_rows = batch_rows;
     Point p;
     const double t0 = WallMs();
     for (int rep = 0; rep < repeats; ++rep) {
@@ -110,13 +106,12 @@ struct ModeResult {
 };
 
 ModeResult RunMode(const Catalog& catalog, const QuerySpec& query,
-                   double stall_ms, int repeats, int trials,
-                   int64_t batch_rows = 1024) {
+                   double stall_ms, int repeats, int trials) {
   ModeResult r;
   r.dops = {1, 2, 4, 8};
   for (int dop : r.dops) {
-    r.points.push_back(RunAtDop(catalog, query, dop, stall_ms, repeats,
-                                trials, batch_rows));
+    r.points.push_back(
+        RunAtDop(catalog, query, dop, stall_ms, repeats, trials));
   }
   // Work parity across dops: the parallel plans did exactly the same row
   // work as serial, so the ms ratios are honest speedups.
@@ -159,18 +154,15 @@ void JsonMode(JsonWriter* json, const char* key, const ModeResult& r) {
   json->EndArray();
 }
 
-/// Serial (dop 1, no runner) wall time for one query at a given execution
-/// batch size, best-of-trials.
-double SerialMs(const Catalog& catalog, const QuerySpec& query,
-                int64_t batch_rows, int repeats, int trials) {
+/// Serial (dop 1, no runner) wall time for one query, best-of-trials.
+double SerialMs(const Catalog& catalog, const QuerySpec& query, int repeats,
+                int trials) {
   double best = 0.0;
   for (int trial = 0; trial < trials; ++trial) {
-    ParallelPolicy policy;
-    policy.batch_rows = batch_rows;
     const double t0 = WallMs();
     for (int rep = 0; rep < repeats; ++rep) {
       ProgressiveExecutor exec(catalog, OptimizerConfig{}, PopConfig{});
-      exec.set_parallel(nullptr, policy);
+      exec.set_parallel(nullptr, ParallelPolicy{});
       Result<std::vector<Row>> rows = exec.Execute(query);
       POPDB_DCHECK(rows.ok());
     }
@@ -180,60 +172,29 @@ double SerialMs(const Catalog& catalog, const QuerySpec& query,
   return best;
 }
 
-/// The vectorized on/off pure-CPU section: io-free scaling curves for the
-/// row engine (batch_rows = 1) vs the vectorized engine (batch_rows =
-/// 1024), the serial row/vectorized ratio, and a single-thread TPC-H
-/// paper-query sweep on both engines. Emits BENCH_vectorized.json.
-void RunVectorizedSection(const Catalog& catalog,
-                          const Catalog& noindex_catalog,
-                          const QuerySpec& scan_q, const QuerySpec& join_q,
-                          double tpch_scale, int repeats, int trials) {
-  bench::PrintHeader(
-      "Vectorized on/off: pure-CPU scaling, row vs batch engine",
-      "batch execution (ISSUE PR 8)");
+/// The engine section: single-thread TPC-H paper-query wall time at the
+/// production batch size, and the pure-CPU dop-4 speedup on the
+/// scan-heavy query. Emits BENCH_vectorized.json.
+void RunEngineSection(const Catalog& catalog, const ModeResult& scan_cpu,
+                      double tpch_scale, int repeats, int trials) {
+  bench::PrintHeader("Engine: single-thread TPC-H and pure-CPU scaling",
+                     "batch execution, batch_rows = 1024");
 
-  const ModeResult scan_row =
-      RunMode(catalog, scan_q, 0.0, repeats, trials, /*batch_rows=*/1);
-  const ModeResult scan_vec =
-      RunMode(catalog, scan_q, 0.0, repeats, trials, /*batch_rows=*/1024);
-  const ModeResult join_row = RunMode(noindex_catalog, join_q, 0.0, repeats,
-                                      trials, /*batch_rows=*/1);
-  const ModeResult join_vec = RunMode(noindex_catalog, join_q, 0.0, repeats,
-                                      trials, /*batch_rows=*/1024);
-
-  PrintMode("scan-heavy", "row pure-cpu", scan_row);
-  PrintMode("scan-heavy", "vec pure-cpu", scan_vec);
-  PrintMode("join-heavy", "row pure-cpu", join_row);
-  PrintMode("join-heavy", "vec pure-cpu", join_vec);
-
-  // Single-thread TPC-H paper-query sweep: the vectorized engine must not
-  // be slower than row-at-a-time when there is no parallelism to exploit.
-  double tpch_row_ms = 0.0;
-  double tpch_vec_ms = 0.0;
+  double tpch_ms = 0.0;
   for (int qnum : tpch::PaperQueries()) {
-    const QuerySpec q = tpch::MakeQuery(qnum);
-    tpch_row_ms += SerialMs(catalog, q, /*batch_rows=*/1, repeats, trials);
-    tpch_vec_ms +=
-        SerialMs(catalog, q, /*batch_rows=*/1024, repeats, trials);
+    tpch_ms += SerialMs(catalog, tpch::MakeQuery(qnum), repeats, trials);
   }
 
-  const double vec_speedup_4x = scan_vec.SpeedupAt(4);
-  const double serial_ratio =
-      scan_vec.points[0].ms > 0 ? scan_row.points[0].ms /
-                                      scan_vec.points[0].ms
-                                : 0.0;
-  const double tpch_ratio = tpch_vec_ms > 0 ? tpch_row_ms / tpch_vec_ms
-                                            : 0.0;
+  const double speedup_4x = scan_cpu.SpeedupAt(4);
   const unsigned cores = std::thread::hardware_concurrency();
   const bool enough_cores = cores >= 4;
-  const bool meets_target = vec_speedup_4x >= 2.5;
+  const bool meets_target = speedup_4x >= 2.5;
   std::printf(
-      "\nvectorized pure-cpu: dop-4 speedup %.2fx (target >= 2.5x, "
-      "%u cores%s), serial row/vec %.2fx on scan-heavy, "
-      "single-thread tpch row/vec %.2fx (row %.1f ms, vec %.1f ms)\n%s\n",
-      vec_speedup_4x, cores,
+      "\nsingle-thread tpch paper queries: %.1f ms\n"
+      "pure-cpu dop-4 speedup on scan-heavy: %.2fx (target >= 2.5x, "
+      "%u cores%s)\n%s\n",
+      tpch_ms, speedup_4x, cores,
       enough_cores ? "" : " — below the 4 cores the target assumes",
-      serial_ratio, tpch_ratio, tpch_row_ms, tpch_vec_ms,
       meets_target
           ? "PASS: >= 2.5x pure-cpu at dop 4"
           : (enough_cores ? "WARN: below the 2.5x pure-cpu target"
@@ -252,19 +213,12 @@ void RunVectorizedSection(const Catalog& catalog,
       .Key("trials")
       .Int(trials)
       .Key("batch_rows")
-      .Int(1024)
+      .Int(ParallelPolicy{}.batch_rows)
       .Key("hardware_cores")
       .Int(static_cast<int64_t>(cores))
       .EndObject();
-  JsonMode(&json, "scan_heavy_row", scan_row);
-  JsonMode(&json, "scan_heavy_vectorized", scan_vec);
-  JsonMode(&json, "join_heavy_row", join_row);
-  JsonMode(&json, "join_heavy_vectorized", join_vec);
-  json.Key("tpch_single_thread_row_ms").Double(tpch_row_ms);
-  json.Key("tpch_single_thread_vectorized_ms").Double(tpch_vec_ms);
-  json.Key("tpch_single_thread_row_over_vec").Double(tpch_ratio);
-  json.Key("serial_scan_row_over_vec").Double(serial_ratio);
-  json.Key("vectorized_speedup_4x_scan").Double(vec_speedup_4x);
+  json.Key("tpch_single_thread_vectorized_ms").Double(tpch_ms);
+  json.Key("vectorized_speedup_4x_scan").Double(speedup_4x);
   json.Key("meets_target").Bool(meets_target);
   json.EndObject();
   bench::WriteBenchJson("vectorized", json.str());
@@ -342,8 +296,7 @@ void Run() {
   json.EndObject();
   bench::WriteBenchJson("morsel_scaling", json.str());
 
-  RunVectorizedSection(catalog, noindex_catalog, scan_q, join_q, gen.scale,
-                       repeats, trials);
+  RunEngineSection(catalog, scan_cpu, gen.scale, repeats, trials);
 }
 
 }  // namespace

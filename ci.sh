@@ -12,13 +12,13 @@
 # UBSan build over the tracing/metrics/runtime/parallel/network/write
 # suites, then an ASan build over the suites that move per-query records
 # (QueryTrace, the query log, the trace store) between threads and across
-# the wire.
+# the wire, and over the executor, plan-cache and write-path suites.
 #
 # The release ctest runs everything including tests labeled "slow"
 # (parallel_stress_test); use `ctest -L fast` locally for the quick loop.
-# The TSan and UBSan stages run the parallel-, plan-cache-, and
-# row-vs-batch differential suites in light mode (POPDB_EQUIV_LIGHT=1) —
-# the full corpus sweeps are release-only.
+# The sanitizer stages run the parallel-, plan-cache-, and batch-size
+# differential suites in light mode (POPDB_EQUIV_LIGHT=1) — the full
+# corpus sweeps are release-only.
 #
 # Usage: ./ci.sh [--skip-tsan] [--skip-ubsan] [--skip-asan]
 set -euo pipefail
@@ -182,8 +182,8 @@ else
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/plan_cache_test
   TSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
       ./build-tsan/tests/plan_cache_equivalence_test
-  # Row-vs-vectorized differential oracle (ctest label "batch") in light
-  # mode: the full batch-size sweep is release-only.
+  # Batch-size differential oracle (ctest label "batch") in light mode:
+  # the full batch-size sweep is release-only.
   TSAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
       ./build-tsan/tests/batch_differential_test
   # Incremental-vs-full-DP re-optimization oracle (ctest label "reopt")
@@ -241,15 +241,28 @@ fi
 if [[ "$SKIP_ASAN" == "1" ]]; then
   echo "=== ASan stage skipped (--skip-asan) ==="
 else
-  echo "=== AddressSanitizer build + per-query record tests ==="
+  echo "=== AddressSanitizer build + per-query record, executor, plan-cache and write-path tests ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DPOPDB_SANITIZE=address
   cmake --build build-asan -j "$(nproc)" \
-        --target observability_test runtime_test net_test dist_test
+        --target observability_test runtime_test net_test dist_test \
+        operator_test extensions_test morsel_test batch_differential_test \
+        parallel_equivalence_test plan_cache_test txn_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/observability_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/runtime_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/net_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/dist_test
+  # The executor: held batches, read-ahead reconciliation, pooled batch
+  # columns, morsel buffers and the batch sink.
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/operator_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/extensions_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/morsel_test
+  ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
+      ./build-asan/tests/batch_differential_test
+  ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
+      ./build-asan/tests/parallel_equivalence_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/plan_cache_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/txn_test
 fi
 
 echo "=== ci.sh: all stages passed ==="

@@ -13,7 +13,7 @@ PlanProfileNode ProfileOperatorTree(const Operator& root) {
   node.actual_rows = root.rows_produced();
   node.completed = root.eof_seen();
   node.next_calls = root.stats().next_calls;
-  node.batches = root.stats().batches;
+  node.batches = root.stats().next_calls;
   node.open_ms = root.stats().open_ms();
   node.next_ms = root.stats().next_ms();
   node.close_ms = root.stats().close_ms();

@@ -26,7 +26,7 @@ struct PlanProfileNode {
   int64_t actual_rows = 0;  ///< Rows produced (exact iff `completed`).
   bool completed = false;   ///< Operator reached EOF.
   int64_t next_calls = 0;
-  int64_t batches = 0;  ///< Vectorized NextBatch invocations (0 = row mode).
+  int64_t batches = 0;  ///< NextBatch invocations (same as next_calls).
 
   double open_ms = 0.0;
   double next_ms = 0.0;

@@ -335,10 +335,9 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
     ctx.params = query.params();
     ctx.mem_rows = static_cast<int64_t>(optimizer_.config().cost.mem_rows);
     ctx.cancel = cancel_token_;
-    // Vectorized execution is independent of the task runner: the batch
-    // size comes from the stored policy (parallel_), not the runner-gated
-    // copy, so batches stay on for serial executions and batch_rows = 1
-    // forces the row engine even under a runner.
+    // The batch size is independent of the task runner: it comes from the
+    // stored policy (parallel_), not the runner-gated copy, so serial
+    // executions run the configured batch size too.
     ctx.batch_rows = parallel_.batch_rows;
     if (parallel.enabled()) {
       ctx.tasks = task_runner_;

@@ -1,6 +1,5 @@
 #include "dist/shard.h"
 
-#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -14,30 +13,6 @@
 namespace popdb::dist {
 
 namespace {
-
-void AppendFiniteOrNull(double v, JsonWriter* w) {
-  if (std::isfinite(v)) {
-    w->Double(v);
-  } else {
-    w->Null();
-  }
-}
-
-std::string ViolationJson(const ReoptSignal& signal) {
-  JsonWriter w;
-  w.BeginObject();
-  w.Key("type").String("check_violation");
-  w.Key("edge_set").Int(static_cast<int64_t>(signal.edge_set));
-  w.Key("observed_rows").Double(signal.observed_rows);
-  w.Key("exact").Bool(signal.exact);
-  w.Key("flavor").Int(static_cast<int64_t>(signal.flavor));
-  w.Key("check_lo");
-  AppendFiniteOrNull(signal.check_lo, &w);
-  w.Key("check_hi");
-  AppendFiniteOrNull(signal.check_hi, &w);
-  w.EndObject();
-  return w.str();
-}
 
 std::string ObservationsJson(const std::vector<EdgeObservation>& obs) {
   JsonWriter w;
@@ -136,27 +111,12 @@ net::SubplanBackend::RunResult ShardExecutor::Run(
     return true;
   };
   if (status == ExecStatus::kOk) {
-    if (ctx.batch_rows > 1) {
-      RowBatch exec_batch;
-      while (true) {
-        status = root->NextBatch(&ctx, &exec_batch);
-        if (status != ExecStatus::kRow) break;
-        exec_batch.MoveRowsInto(&batch);
-        if (!flush_full()) {
-          sink_broken = true;
-          break;
-        }
-      }
-    } else {
-      Row row;
-      while (true) {
-        status = root->Next(&ctx, &row);
-        if (status != ExecStatus::kRow) break;
-        batch.push_back(row);
-        if (!flush_full()) {
-          sink_broken = true;
-          break;
-        }
+    RowBatch exec_batch;
+    while ((status = root->NextBatch(&ctx, &exec_batch)) == ExecStatus::kRow) {
+      exec_batch.MoveRowsInto(&batch);
+      if (!flush_full()) {
+        sink_broken = true;
+        break;
       }
     }
   }
@@ -165,7 +125,8 @@ net::SubplanBackend::RunResult ShardExecutor::Run(
   // EXPLAIN ANALYZE snapshot of the executed fragment (estimates next to
   // actuals, sampled timings); the coordinator merges it per shard and in
   // aggregate under its gather node.
-  result.profile_json = ProfileToJsonString(ProfileOperatorTree(*root));
+  result.profile = ProfileOperatorTree(*root);
+  result.has_profile = true;
 
   if (sink_broken) {
     result.status = Status::Cancelled("client connection lost mid-stream");
@@ -190,7 +151,7 @@ net::SubplanBackend::RunResult ShardExecutor::Run(
       // The coordinator discards every row of this attempt on violation,
       // so no cross-wire compensation is needed.
       result.outcome = "reoptimize";
-      result.violation_json = ViolationJson(ctx.reopt);
+      result.violation = ctx.reopt;
       break;
     case ExecStatus::kCancelled:
       if (cancel != nullptr && cancel->reason() == CancelReason::kDeadline) {

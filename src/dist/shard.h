@@ -16,9 +16,9 @@ struct ShardExecutorConfig {
   int64_t max_batch_rows = 8192;
   /// Rows per *execution* batch (exec/batch.h) for the fragment's operator
   /// tree — independent of the wire batching above, which only frames the
-  /// result stream. <= 1 runs the fragment row-at-a-time. Overridable per
-  /// request with the "exec_batch_rows" key (the differential tests drive
-  /// both engines through one shard this way).
+  /// result stream. <= 1 means batches of one row. Overridable per request
+  /// with the "exec_batch_rows" key (the differential tests drive several
+  /// batch sizes through one shard this way).
   int64_t exec_batch_rows = 1024;
   /// Memory budget (rows) for sorts/materializations, matching
   /// CostParams::mem_rows on a standalone server.

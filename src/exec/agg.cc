@@ -30,26 +30,6 @@ HashAggOp::HashAggOp(std::unique_ptr<Operator> child,
       group_pos_(std::move(group_pos)),
       aggs_(std::move(aggs)) {}
 
-void HashAggOp::Accumulate(const Row& row, GroupMap* groups) const {
-  Row key;
-  key.reserve(group_pos_.size());
-  for (int pos : group_pos_) key.push_back(row[static_cast<size_t>(pos)]);
-  std::vector<AggState>& states = (*groups)[std::move(key)];
-  if (states.empty()) states.resize(aggs_.size());
-  for (size_t a = 0; a < aggs_.size(); ++a) {
-    AggState& st = states[a];
-    ++st.count;
-    if (aggs_[a].func == AggFunc::kCount) continue;
-    const Value& v = row[static_cast<size_t>(aggs_[a].pos)];
-    if (v.is_null()) continue;
-    if (aggs_[a].func == AggFunc::kSum || aggs_[a].func == AggFunc::kAvg) {
-      st.sum += v.AsNumeric();
-    }
-    if (st.min.is_null() || v < st.min) st.min = v;
-    if (st.max.is_null() || v > st.max) st.max = v;
-  }
-}
-
 void HashAggOp::AccumulateFromBatch(const RowBatch& batch, int64_t i,
                                     GroupMap* groups) const {
   Row key;
@@ -119,16 +99,18 @@ ExecStatus HashAggOp::OpenPreAggregated(ExecContext* ctx,
   // concurrently, so each partial is single-threaded. The exchange charges
   // the per-row work the serial drain loop would have.
   std::vector<GroupMap> partial(static_cast<size_t>(workers));
-  exchange->SetRowSink([this, &partial](int worker, const Row& row) {
-    Accumulate(row, &partial[static_cast<size_t>(worker)]);
+  exchange->SetBatchSink([this, &partial](int worker, const RowBatch& batch) {
+    GroupMap* groups = &partial[static_cast<size_t>(worker)];
+    const int64_t n = batch.ActiveRows();
+    for (int64_t i = 0; i < n; ++i) AccumulateFromBatch(batch, i, groups);
   });
   ExecStatus s = child_->Open(ctx);
-  exchange->SetRowSink(nullptr);
+  exchange->SetBatchSink(nullptr);
   if (s != ExecStatus::kOk) return s;
   // Drain the (now empty) stream so the exchange records a normal
   // pull-to-EOF and feedback harvesting sees the exact cardinality.
-  Row row;
-  s = child_->Next(ctx, &row);
+  RowBatch empty;
+  s = child_->NextBatch(ctx, &empty);
   if (s != ExecStatus::kEof) {
     return s == ExecStatus::kRow ? ExecStatus::kError : s;
   }
@@ -165,40 +147,19 @@ ExecStatus HashAggOp::OpenImpl(ExecContext* ctx) {
   ExecStatus s = child_->Open(ctx);
   if (s != ExecStatus::kOk) return s;
   GroupMap groups;
-  if (ctx->batch_rows > 1) {
-    RowBatch batch;
-    while (true) {
-      if (ctx->CancelPending()) return ExecStatus::kCancelled;
-      s = child_->NextBatch(ctx, &batch);
-      if (s == ExecStatus::kEof) break;
-      if (s != ExecStatus::kRow) return s;
-      const int64_t n = batch.ActiveRows();
-      ctx->work += n;
-      for (int64_t i = 0; i < n; ++i) AccumulateFromBatch(batch, i, &groups);
-    }
-  } else {
-    Row row;
-    while (true) {
-      if (ctx->CancelPending()) return ExecStatus::kCancelled;
-      s = child_->Next(ctx, &row);
-      if (s == ExecStatus::kEof) break;
-      if (s != ExecStatus::kRow) return s;
-      ++ctx->work;
-      Accumulate(row, &groups);
-    }
+  RowBatch batch;
+  while (true) {
+    if (ctx->CancelPending()) return ExecStatus::kCancelled;
+    s = child_->NextBatch(ctx, &batch);
+    if (s == ExecStatus::kEof) break;
+    if (s != ExecStatus::kRow) return s;
+    const int64_t n = batch.ActiveRows();
+    ctx->work += n;
+    for (int64_t i = 0; i < n; ++i) AccumulateFromBatch(batch, i, &groups);
   }
   child_->Close(ctx);
   EmitResults(&groups);
   return ExecStatus::kOk;
-}
-
-ExecStatus HashAggOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (next_ < results_.size()) {
-    ++ctx->work;
-    *out = results_[next_++];
-    return ExecStatus::kRow;
-  }
-  return ExecStatus::kEof;
 }
 
 ExecStatus HashAggOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

@@ -39,7 +39,6 @@ class HashAggOp : public Operator {
             std::vector<ResolvedAgg> aggs);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "GRPBY"; }
@@ -55,10 +54,8 @@ class HashAggOp : public Operator {
   };
   using GroupMap = std::unordered_map<Row, std::vector<AggState>, RowHash>;
 
-  /// Folds one input row into a (possibly per-task partial) group table.
-  void Accumulate(const Row& row, GroupMap* groups) const;
-  /// Same fold reading the i-th active row of a batch in place (no row
-  /// materialization); group insertion order matches the row path exactly.
+  /// Folds the i-th active row of a batch, read in place, into a
+  /// (possibly per-task partial) group table.
   void AccumulateFromBatch(const RowBatch& batch, int64_t i,
                            GroupMap* groups) const;
   static void MergeState(const AggState& from, AggState* into);

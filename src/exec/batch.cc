@@ -1,5 +1,6 @@
 #include "exec/batch.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace popdb {
@@ -62,8 +63,12 @@ void RowBatch::MaterializeRow(int64_t i, Row* out) const {
 }
 
 void RowBatch::MoveRowsInto(std::vector<Row>* out) {
+  // Callers append batch after batch: grow geometrically, since growing
+  // to the exact size on every call would reallocate (and move every row
+  // so far) per batch — quadratic at small batch sizes.
   const int64_t n = ActiveRows();
-  out->reserve(out->size() + static_cast<size_t>(n));
+  const size_t need = out->size() + static_cast<size_t>(n);
+  if (need > out->capacity()) out->reserve(std::max(need, 2 * out->capacity()));
   for (int64_t i = 0; i < n; ++i) {
     const size_t raw = static_cast<size_t>(RawIndex(i));
     Row row(cols.size());

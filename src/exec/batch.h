@@ -25,8 +25,8 @@ inline int64_t CapBatchRowsForWidth(int64_t rows, int width) {
   return scaled < rows ? scaled : rows;
 }
 
-/// Column-oriented batch of rows exchanged between operators in vectorized
-/// execution (ExecContext::batch_rows > 1). Values are stored per column
+/// Column-oriented batch of rows exchanged between operators
+/// (ExecContext::batch_rows rows per batch). Values are stored per column
 /// (`cols[c][r]`), and an optional selection vector marks the active subset
 /// without moving data: filters narrow `sel` in place, so a batch flows
 /// through a pipeline with one copy at the producer.

@@ -1,5 +1,6 @@
 #include "exec/check.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -55,39 +56,13 @@ ExecStatus CheckOp::Fire(ExecContext* ctx, bool exact) {
   return ExecStatus::kReoptimize;
 }
 
-ExecStatus CheckOp::NextImpl(ExecContext* ctx, Row* out) {
-  const ExecStatus s = child_->Next(ctx, out);
-  if (s == ExecStatus::kRow) {
-    if (count_ == 0) work_first_ = ctx->work;
-    ++count_;
-    if (spec_.enabled && static_cast<double>(count_) > spec_.hi) {
-      // The observed count is a lower bound on the true cardinality: the
-      // stream was cut short (Section 3.4, eager checks).
-      const ExecStatus fired = Fire(ctx, /*exact=*/false);
-      if (fired == ExecStatus::kReoptimize) return fired;
-    }
-    return ExecStatus::kRow;
-  }
-  if (s == ExecStatus::kEof) {
-    if (spec_.enabled && static_cast<double>(count_) < spec_.lo) {
-      const ExecStatus fired = Fire(ctx, /*exact=*/true);
-      if (fired == ExecStatus::kReoptimize) return fired;
-    } else if (spec_.enabled) {
-      RecordEvent(ctx, /*fired=*/false);
-    }
-  }
-  return s;
-}
-
 ExecStatus CheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // For an enforced upper bound, clamp the child's batch target to the
   // rows remaining before the violation threshold (count > hi first holds
-  // at floor(hi) + 1): the child can never produce past the row the row
-  // engine would have aborted on, so a violation always lands on the
-  // final row of the pulled batch, no consumed-but-unemitted rows exist,
-  // and the vectorized path is exact above any child — streaming joins
-  // included. Observation mode and pure lower bounds never truncate, so
-  // they pass full batches through unclamped.
+  // at floor(hi) + 1): a child that honors its target never produces past
+  // the row batch size 1 would abort on, so a violation lands on the final
+  // row of the pulled batch. Observation mode and pure lower bounds never
+  // truncate, so they pass full batches through unclamped.
   const bool enforced_hi =
       spec_.enabled && !spec_.observe_only &&
       spec_.hi != std::numeric_limits<double>::infinity();
@@ -107,19 +82,18 @@ ExecStatus CheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     if (count_ == 0 && n > 0) work_first_ = ctx->work;
     const int64_t before = count_;
     if (spec_.enabled && static_cast<double>(before + n) > spec_.hi) {
-      // The row engine fires on the first row that pushes the count past
-      // hi, having emitted only the rows before it: keep that prefix and
-      // report the count through the violating row. With the clamp above
-      // an enforced violation is always the batch's final row (keep ==
-      // n - 1); the reconcile call is defensive for children that
-      // over-produce past their target.
+      // Fire on the first row that pushes the count past hi, emitting only
+      // the rows before it, and report the count through the violating
+      // row. With the clamp above that row is the batch's final one unless
+      // the child over-produced past its target; the child reconciles the
+      // rows it produced or read ahead past the violation.
       int64_t keep = static_cast<int64_t>(std::floor(spec_.hi)) - before;
       if (keep < 0) keep = 0;
       if (keep > n - 1) keep = n - 1;
       count_ = before + keep + 1;
       const ExecStatus fired = Fire(ctx, /*exact=*/false);
       if (fired == ExecStatus::kReoptimize) {
-        if (n - keep - 1 > 0) child_->ReconcileAbort(n - keep - 1);
+        child_->ReconcileAbort(n - keep - 1);
         out->TruncateActive(keep);
         return FlushOrStatus(out, ExecStatus::kReoptimize);
       }
@@ -160,10 +134,7 @@ void BufCheckOp::RecordEvent(ExecContext* ctx, bool fired) {
 
 ExecStatus BufCheckOp::Fire(ExecContext* ctx, bool exact) {
   RecordEvent(ctx, /*fired=*/true);
-  if (spec_.observe_only) {
-    decided_ = true;  // Keep streaming in observation mode.
-    return ExecStatus::kOk;
-  }
+  if (spec_.observe_only) return ExecStatus::kOk;  // Keep streaming.
   ctx->reopt.triggered = true;
   ctx->reopt.edge_set = spec_.edge_set;
   ctx->reopt.observed_rows = count_;
@@ -179,7 +150,6 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
   count_ = 0;
   buffer_.clear();
   buffer_pos_ = 0;
-  decided_ = false;
   child_eof_ = false;
   event_recorded_ = false;
   work_first_ = -1;
@@ -189,126 +159,72 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
   }
   const ExecStatus s = child_->Open(ctx);
   if (s != ExecStatus::kOk) return s;
-  if (!spec_.enabled) {
-    decided_ = true;
-    return ExecStatus::kOk;
-  }
+  if (!spec_.enabled) return ExecStatus::kOk;
   // Buffer rows ("like a valve", Section 3.3) until the outcome is known.
-  // Vectorized fill for enforced checks: the child's batch target is
-  // clamped to the rows remaining before the next decision point — the
-  // violation threshold for a finite upper bound, the release count for a
-  // [lo, inf) valve — so the drain fires or releases at exactly the row
-  // the row engine would, with no rows left in a pulled batch.
-  // Observation mode keeps the row drain so its decided_ transitions stay
-  // row-exact.
-  if (ctx->batch_rows > 1 && !spec_.observe_only) {
-    const bool finite_hi =
-        spec_.hi != std::numeric_limits<double>::infinity();
-    const int64_t full_target = ctx->batch_rows;
-    RowBatch b;
-    while (true) {
-      const double stop =
-          (finite_hi ? std::floor(spec_.hi) + 1.0 : spec_.lo) -
-          static_cast<double>(count_);
-      ctx->batch_rows =
-          stop < static_cast<double>(full_target)
-              ? (stop > 1.0 ? static_cast<int64_t>(stop) : 1)
-              : full_target;
-      const ExecStatus cs = child_->NextBatch(ctx, &b);
-      ctx->batch_rows = full_target;
-      if (cs == ExecStatus::kRow) {
-        const int64_t n = b.ActiveRows();
-        if (count_ == 0 && n > 0) work_first_ = ctx->work;
-        const int64_t before = count_;
-        if (static_cast<double>(before + n) > spec_.hi) {
-          // The row engine buffers the rows before the violating one,
-          // counts through it, and fires without emitting anything. With
-          // the clamp the violation is the batch's final row; reconcile
-          // is defensive for children that over-produce.
-          int64_t keep = static_cast<int64_t>(std::floor(spec_.hi)) - before;
-          if (keep < 0) keep = 0;
-          if (keep > n - 1) keep = n - 1;
-          count_ = before + keep + 1;
-          if (n - keep - 1 > 0) child_->ReconcileAbort(n - keep - 1);
-          Row r;
-          for (int64_t i = 0; i < keep; ++i) {
-            b.MaterializeRow(i, &r);
-            buffer_.push_back(std::move(r));
-          }
-          return Fire(ctx, /*exact=*/false);
-        }
-        count_ = before + n;
-        b.MoveRowsInto(&buffer_);
-        if (!finite_hi && static_cast<double>(count_) >= spec_.lo) {
-          // [lo, inf): success is certain; release the valve at the same
-          // count the row engine would (the clamp made this batch end on
-          // the release row).
-          decided_ = true;
-          RecordEvent(ctx, /*fired=*/false);
-          return ExecStatus::kOk;
-        }
-      } else if (cs == ExecStatus::kEof) {
-        child_eof_ = true;
-        if (static_cast<double>(count_) < spec_.lo) {
-          const ExecStatus fired = Fire(ctx, /*exact=*/true);
-          if (fired == ExecStatus::kReoptimize) return fired;
-        }
-        decided_ = true;
-        RecordEvent(ctx, /*fired=*/false);
-        return ExecStatus::kOk;
-      } else {
-        return cs;
-      }
-    }
-  }
-  Row row;
-  while (!decided_) {
-    const ExecStatus cs = child_->Next(ctx, &row);
-    if (cs == ExecStatus::kRow) {
-      if (count_ == 0) work_first_ = ctx->work;
-      ++count_;
-      if (static_cast<double>(count_) > spec_.hi) {
-        // Cut short: count is a lower bound; nothing was emitted yet.
-        const ExecStatus fired = Fire(ctx, /*exact=*/false);
-        if (fired == ExecStatus::kReoptimize) return fired;
-      }
-      buffer_.push_back(std::move(row));
-      if (static_cast<double>(count_) >= spec_.lo &&
-          spec_.hi == std::numeric_limits<double>::infinity()) {
-        // [lo, inf): success is certain; release the valve.
-        decided_ = true;
-        RecordEvent(ctx, /*fired=*/false);
-      }
-    } else if (cs == ExecStatus::kEof) {
+  // The child's batch target is clamped to the rows remaining before the
+  // next decision point — the violation threshold for a finite upper
+  // bound, the release count for a [lo, inf) valve — so the drain fires
+  // or releases at exactly the row batch size 1 would. Observation mode
+  // drains a row at a time so its event's work positions stay row-exact.
+  const bool finite_hi = spec_.hi != std::numeric_limits<double>::infinity();
+  const int64_t full_target = ctx->batch_rows;
+  const int64_t drain_target = spec_.observe_only ? 1 : full_target;
+  RowBatch b;
+  while (true) {
+    const double stop =
+        (finite_hi ? std::floor(spec_.hi) + 1.0 : spec_.lo) -
+        static_cast<double>(count_);
+    ctx->batch_rows =
+        stop < static_cast<double>(drain_target)
+            ? (stop > 1.0 ? static_cast<int64_t>(stop) : 1)
+            : drain_target;
+    const ExecStatus cs = child_->NextBatch(ctx, &b);
+    ctx->batch_rows = full_target;
+    if (cs == ExecStatus::kEof) {
       child_eof_ = true;
       if (static_cast<double>(count_) < spec_.lo) {
         const ExecStatus fired = Fire(ctx, /*exact=*/true);
         if (fired == ExecStatus::kReoptimize) return fired;
       }
-      decided_ = true;
       RecordEvent(ctx, /*fired=*/false);
-    } else {
-      return cs;
+      return ExecStatus::kOk;
+    }
+    if (cs != ExecStatus::kRow) return cs;
+    const int64_t n = b.ActiveRows();
+    if (count_ == 0) work_first_ = ctx->work;
+    const int64_t before = count_;
+    count_ = before + n;
+    if (static_cast<double>(count_) > spec_.hi) {
+      // Count through the violating row (a lower bound on the true
+      // cardinality); nothing was emitted. The child reconciles the rows
+      // it produced or read ahead past the violation.
+      int64_t keep = static_cast<int64_t>(std::floor(spec_.hi)) - before;
+      if (keep < 0) keep = 0;
+      if (keep > n - 1) keep = n - 1;
+      count_ = before + keep + 1;
+      if (Fire(ctx, /*exact=*/false) == ExecStatus::kReoptimize) {
+        child_->ReconcileAbort(n - keep - 1);
+        return ExecStatus::kReoptimize;
+      }
+      // Observation mode: the event holds the count at the violation; the
+      // whole batch is kept and the valve opens.
+      count_ = before + n;
+      b.MoveRowsInto(&buffer_);
+      return ExecStatus::kOk;
+    }
+    b.MoveRowsInto(&buffer_);
+    if (!finite_hi && static_cast<double>(count_) >= spec_.lo) {
+      // [lo, inf): success is certain; release the valve. The event holds
+      // the count at the release row, also when the child produced past
+      // the clamp.
+      const int64_t total = count_;
+      count_ = std::max<int64_t>(
+          before + 1, static_cast<int64_t>(std::ceil(spec_.lo)));
+      RecordEvent(ctx, /*fired=*/false);
+      count_ = total;
+      return ExecStatus::kOk;
     }
   }
-  return ExecStatus::kOk;
-}
-
-ExecStatus BufCheckOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (buffer_pos_ < buffer_.size()) {
-    ++ctx->work;
-    *out = buffer_[buffer_pos_++];
-    return ExecStatus::kRow;
-  }
-  if (child_eof_) {
-    return ExecStatus::kEof;
-  }
-  const ExecStatus s = child_->Next(ctx, out);
-  if (s == ExecStatus::kRow) {
-    ++count_;
-  } else if (s == ExecStatus::kEof) {
-  }
-  return s;
 }
 
 ExecStatus BufCheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
@@ -325,8 +241,8 @@ ExecStatus BufCheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   if (child_eof_) {
     return ExecStatus::kEof;
   }
-  // Pass-through after a released valve: count rows like the row path
-  // (no work charge — the producers below already charged theirs).
+  // Pass-through after a released valve: count rows (no work charge — the
+  // producers below already charged theirs).
   const ExecStatus s = child_->NextBatch(ctx, out);
   if (s == ExecStatus::kRow) count_ += out->ActiveRows();
   return s;
@@ -347,6 +263,7 @@ WorkBoundOp::WorkBoundOp(std::unique_ptr<Operator> child, double work_budget,
                          TableSet edge_set)
     : Operator(child->table_set()),
       child_(std::move(child)),
+      input_(child_.get()),
       work_budget_(work_budget),
       edge_set_(edge_set) {}
 
@@ -355,9 +272,13 @@ ExecStatus WorkBoundOp::OpenImpl(ExecContext* ctx) {
   return child_->Open(ctx);
 }
 
-ExecStatus WorkBoundOp::NextImpl(ExecContext* ctx, Row* out) {
-  const ExecStatus s = child_->Next(ctx, out);
-  if (s == ExecStatus::kRow) {
+ExecStatus WorkBoundOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+  int64_t target = BatchTarget(ctx);
+  out->Clear();
+  Row row;
+  while (out->num_rows < target) {
+    const ExecStatus s = input_.PullRow(ctx, &row);
+    if (s != ExecStatus::kRow) return FlushOrStatus(out, s);
     ++count_;
     if (static_cast<double>(ctx->work) > work_budget_) {
       ctx->reopt.triggered = true;
@@ -367,11 +288,15 @@ ExecStatus WorkBoundOp::NextImpl(ExecContext* ctx, Row* out) {
       ctx->reopt.flavor = CheckFlavor::kWorkBound;
       ctx->reopt.check_lo = 0;
       ctx->reopt.check_hi = work_budget_;
-      return ExecStatus::kReoptimize;
+      child_->ReconcileAbort(input_.held());
+      return FlushOrStatus(out, ExecStatus::kReoptimize);
     }
-  } else if (s == ExecStatus::kEof) {
+    out->AppendRowMove(std::move(row));
+    // The first row reveals the output width; tighten the target to the
+    // width-aware cap (never above the context target).
+    if (out->num_rows == 1) target = BatchTarget(ctx, out->width());
   }
-  return s;
+  return ExecStatus::kRow;
 }
 
 CheckMaterializedOp::CheckMaterializedOp(std::unique_ptr<Operator> child,
@@ -414,23 +339,6 @@ ExecStatus CheckMaterializedOp::OpenImpl(ExecContext* ctx) {
   return ExecStatus::kOk;
 }
 
-ExecStatus CheckMaterializedOp::NextImpl(ExecContext* ctx, Row* out) {
-  const ExecStatus s = child_->Next(ctx, out);
-  if (s == ExecStatus::kRow) {
-  } else if (s == ExecStatus::kEof) {
-  }
-  return s;
-}
-
-ExecStatus RidTrackOp::NextImpl(ExecContext* ctx, Row* out) {
-  const ExecStatus s = child_->Next(ctx, out);
-  if (s == ExecStatus::kRow) {
-    ctx->returned_rows.push_back(*out);
-  } else if (s == ExecStatus::kEof) {
-  }
-  return s;
-}
-
 ExecStatus RidTrackOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   const ExecStatus s = child_->NextBatch(ctx, out);
   if (s == ExecStatus::kRow) {
@@ -449,22 +357,6 @@ AntiCompensateOp::AntiCompensateOp(std::unique_ptr<Operator> child,
                                    TableSet table_set)
     : Operator(table_set), child_(std::move(child)) {
   for (const Row& row : already_returned) ++remaining_[row];
-}
-
-ExecStatus AntiCompensateOp::NextImpl(ExecContext* ctx, Row* out) {
-  while (true) {
-    const ExecStatus s = child_->Next(ctx, out);
-    if (s != ExecStatus::kRow) {
-      return s;
-    }
-    ++ctx->work;
-    auto it = remaining_.find(*out);
-    if (it != remaining_.end() && it->second > 0) {
-      --it->second;  // Suppress one previously returned duplicate.
-      continue;
-    }
-    return ExecStatus::kRow;
-  }
 }
 
 ExecStatus AntiCompensateOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

@@ -20,12 +20,11 @@ class CheckOp : public Operator {
   CheckOp(std::unique_ptr<Operator> child, CheckSpec spec);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   /// Batch-boundary evaluation: counts whole batches (one comparison per
   /// batch). For an enforced upper bound the child's batch target is
   /// clamped to the rows remaining before the violation threshold, so the
-  /// violating row is always the last one pulled and the check fires with
-  /// exactly the row engine's observed cardinality above any child.
+  /// violating row is the last one pulled and the check fires with exactly
+  /// the observed cardinality of batch size 1 above any child.
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "CHECK"; }
@@ -61,7 +60,6 @@ class BufCheckOp : public Operator {
   BufCheckOp(std::unique_ptr<Operator> child, CheckSpec spec);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   bool HarvestInfo(HarvestedResult* out) const override;
@@ -81,7 +79,6 @@ class BufCheckOp : public Operator {
   std::vector<Row> buffer_;
   size_t buffer_pos_ = 0;
   int64_t count_ = 0;
-  bool decided_ = false;
   bool child_eof_ = false;
   int64_t work_first_ = -1;
   bool event_recorded_ = false;
@@ -91,14 +88,16 @@ class BufCheckOp : public Operator {
 /// paper's closing observation that CHECK can guard "parameters other than
 /// the cardinality ... such as memory consumption, execution time, or even
 /// the overall system load" (Section 8). Compares ExecContext::work
-/// against `work_budget` on every row and fires at most once.
+/// against `work_budget` on every row and fires at most once. The child is
+/// read one row at a time (RowPuller), so its subtree charges work row by
+/// row and the budget is crossed on the same row at every batch size.
 class WorkBoundOp : public Operator {
  public:
   WorkBoundOp(std::unique_ptr<Operator> child, double work_budget,
               TableSet edge_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
+  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "WORKBOUND"; }
   std::vector<const Operator*> children() const override {
@@ -107,6 +106,7 @@ class WorkBoundOp : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
+  RowPuller input_;
   double work_budget_;
   TableSet edge_set_;
   int64_t count_ = 0;
@@ -122,7 +122,6 @@ class CheckMaterializedOp : public Operator {
   CheckMaterializedOp(std::unique_ptr<Operator> child, CheckSpec spec);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override {
     return child_->NextBatch(ctx, out);
   }
@@ -154,7 +153,6 @@ class RidTrackOp : public Operator {
       : Operator(table_set), child_(std::move(child)) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override { return child_->Open(ctx); }
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "INSERT(S)"; }
@@ -177,7 +175,6 @@ class AntiCompensateOp : public Operator {
                    TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override { return child_->Open(ctx); }
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "ANTIJOIN(S)"; }

@@ -59,72 +59,15 @@ void NljnOp::StartProbe(ExecContext* ctx, const Value* index_key) {
   }
 }
 
-ExecStatus NljnOp::NextImpl(ExecContext* ctx, Row* out) {
-  while (true) {
-    if (!outer_valid_) {
-      const ExecStatus s = outer_->Next(ctx, &outer_row_);
-      if (s != ExecStatus::kRow) {
-        return s;
-      }
-      outer_valid_ = true;
-      StartProbe(ctx, inner_.index != nullptr
-                          ? &outer_row_[static_cast<size_t>(
-                                inner_.join_conds[0].outer_pos)]
-                          : nullptr);
-    }
-    // Iterate candidate inner rows for the current outer row.
-    while (true) {
-      if (ctx->CancelPending()) return ExecStatus::kCancelled;
-      int64_t rid;
-      if (inner_.index != nullptr) {
-        if (candidate_pos_ >= index_candidates_.size()) break;
-        rid = index_candidates_[candidate_pos_++];
-        if (!InnerRowVisible(rid)) continue;
-      } else {
-        if (scan_rid_ >= NumInnerRows()) break;
-        rid = scan_rid_++;
-        if (!InnerRowVisible(rid)) continue;
-      }
-      ++ctx->work;
-      const Row& inner_row = InnerRow(rid);
-      bool pass = true;
-      // All conditions are evaluated even on the index path: superset
-      // postings mean a candidate may no longer hold the probed value in
-      // the pinned snapshot.
-      for (size_t j = 0; j < inner_.join_conds.size(); ++j) {
-        const InnerAccess::JoinCond& jc = inner_.join_conds[j];
-        if (outer_row_[static_cast<size_t>(jc.outer_pos)] !=
-            inner_row[static_cast<size_t>(jc.inner_pos)]) {
-          pass = false;
-          break;
-        }
-      }
-      if (pass) {
-        for (const ResolvedPredicate& p : inner_.local_preds) {
-          if (!EvalPredicate(p, inner_row)) {
-            pass = false;
-            break;
-          }
-        }
-      }
-      if (pass) {
-        *out = merge_.Merge(outer_row_, inner_row);
-        return ExecStatus::kRow;
-      }
-    }
-    outer_valid_ = false;  // Exhausted inner candidates; pull next outer row.
-  }
-}
-
 ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  // Vectorized outer: pull outer batches, probe each active row with the
-  // same per-row work/loop accounting as the row path, and emit merged rows
-  // until the output batch fills. The current outer row is read in place
-  // from the held batch (`outer_idx_`) — never materialized row-major. An
-  // outer row's candidate cursor survives across output batches; an abort
-  // from the outer subtree can only arrive once the held batch is fully
-  // probed, so every match the row engine would have streamed is flushed
-  // ahead of the abort status.
+  // Pull outer batches, probe each active row (one work unit and one loop
+  // per outer row, one work unit per visible candidate), and emit merged
+  // rows until the output batch fills. The current outer row is read in
+  // place from the held batch (`outer_idx_`) — never materialized
+  // row-major. An outer row's candidate cursor survives across output
+  // batches; an abort from the outer subtree can only arrive once the held
+  // batch is fully probed, so every match found before it is flushed ahead
+  // of the abort status.
   const int64_t target =
       BatchTarget(ctx, static_cast<int>(merge_.sources.size()));
   out->Reset(static_cast<int>(merge_.sources.size()));
@@ -185,6 +128,14 @@ ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     outer_valid_ = false;  // Candidates exhausted; next outer row.
     ++outer_idx_;
   }
+}
+
+void NljnOp::ReconcileAbort(int64_t unconsumed) {
+  Operator::ReconcileAbort(unconsumed);
+  if (!outer_batch_valid_ || !outer_valid_) return;
+  const int64_t ahead = outer_batch_.ActiveRows() - outer_idx_ - 1;
+  if (ahead > 0) outer_->ReconcileAbort(ahead);
+  outer_batch_valid_ = false;
 }
 
 void NljnOp::CloseImpl(ExecContext* ctx) { outer_->Close(ctx); }
@@ -268,7 +219,6 @@ ExecStatus HsjnOp::OpenImpl(ExecContext* ctx) {
         map_[BuildKey(build_rows_[i])].push_back(i);
       }
     }
-    matches_ = nullptr;
     return probe_->Open(ctx);
   }
 
@@ -372,41 +322,6 @@ ExecStatus HsjnOp::Join(ExecContext* ctx, std::vector<Row>* build,
   return ExecStatus::kOk;
 }
 
-ExecStatus HsjnOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (in_memory_mode_) {
-    while (true) {
-      if (ctx->CancelPending()) return ExecStatus::kCancelled;
-      if (matches_ != nullptr && match_pos_ < matches_->size()) {
-        *out = merge_.Merge(probe_row_, build_rows_[(*matches_)[match_pos_]]);
-        ++match_pos_;
-        return ExecStatus::kRow;
-      }
-      const ExecStatus s = probe_->Next(ctx, &probe_row_);
-      if (s != ExecStatus::kRow) {
-        return s;
-      }
-      ++ctx->work;
-      const Row key = ProbeKey(probe_row_);
-      const KeyMap& map =
-          partitioned_
-              ? part_maps_[HashRow(key) & (kBuildPartitions - 1)]
-              : map_;
-      auto it = map.find(key);
-      if (it == map.end()) {
-        matches_ = nullptr;
-        continue;
-      }
-      matches_ = &it->second;
-      match_pos_ = 0;
-    }
-  }
-  if (next_out_ < output_.size()) {
-    *out = output_[next_out_++];
-    return ExecStatus::kRow;
-  }
-  return ExecStatus::kEof;
-}
-
 ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   if (!in_memory_mode_) {
     // Spill mode: serve the precomputed join output in slices, moving rows
@@ -423,6 +338,7 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   // The output batch is gathered column-wise straight from the probe batch
   // and the build rows (no per-match row materialization).
   out->Reset(static_cast<int>(merge_.sources.size()));
+  last_out_rows_ = 0;
   Row key;
   while (true) {
     const ExecStatus s = probe_->NextBatch(ctx, &probe_batch_);
@@ -433,16 +349,9 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
         return FlushOrStatus(out, ExecStatus::kCancelled);
       }
       ++ctx->work;
-      key.clear();
-      key.reserve(probe_keys_.size());
-      for (int pos : probe_keys_) key.push_back(probe_batch_.At(pos, i));
-      const KeyMap& map =
-          partitioned_
-              ? part_maps_[HashRow(key) & (kBuildPartitions - 1)]
-              : map_;
-      auto it = map.find(key);
-      if (it == map.end()) continue;
-      for (size_t bi : it->second) {
+      const std::vector<size_t>* matches = ProbeMatches(i, &key);
+      if (matches == nullptr) continue;
+      for (size_t bi : *matches) {
         const Row& brow = build_rows_[bi];
         for (size_t c = 0; c < merge_.sources.size(); ++c) {
           const auto& [from_left, pos] = merge_.sources[c];
@@ -453,8 +362,42 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
         ++out->num_rows;
       }
     }
-    if (out->num_rows > 0) return ExecStatus::kRow;
+    if (out->num_rows > 0) {
+      last_out_rows_ = out->num_rows;
+      return ExecStatus::kRow;
+    }
   }
+}
+
+const std::vector<size_t>* HsjnOp::ProbeMatches(int64_t i, Row* key) const {
+  key->clear();
+  key->reserve(probe_keys_.size());
+  for (int pos : probe_keys_) key->push_back(probe_batch_.At(pos, i));
+  const KeyMap& map =
+      partitioned_ ? part_maps_[HashRow(*key) & (kBuildPartitions - 1)]
+                   : map_;
+  auto it = map.find(*key);
+  return it == map.end() ? nullptr : &it->second;
+}
+
+void HsjnOp::ReconcileAbort(int64_t unconsumed) {
+  Operator::ReconcileAbort(unconsumed);
+  if (!in_memory_mode_ || last_out_rows_ == 0) return;
+  // Every output row of the last batch came from the last probe batch.
+  // Find the probe row that produced the last consumed output row; the
+  // probe rows after it were pulled ahead of need.
+  const int64_t consumed = last_out_rows_ - unconsumed;
+  const int64_t n = probe_batch_.ActiveRows();
+  int64_t emitted = 0;
+  int64_t last = 0;
+  Row key;
+  for (; last < n; ++last) {
+    const std::vector<size_t>* matches = ProbeMatches(last, &key);
+    if (matches != nullptr) emitted += static_cast<int64_t>(matches->size());
+    if (emitted >= consumed) break;
+  }
+  if (last + 1 < n) probe_->ReconcileAbort(n - last - 1);
+  last_out_rows_ = 0;
 }
 
 void HsjnOp::CloseImpl(ExecContext* ctx) {
@@ -480,7 +423,9 @@ MgjnOp::MgjnOp(std::unique_ptr<Operator> left,
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      merge_(std::move(merge)) {}
+      merge_(std::move(merge)),
+      left_in_(left_.get()),
+      right_in_(right_.get()) {}
 
 int MgjnOp::CompareKeys(const Row& l, const Row& r) const {
   for (size_t k = 0; k < left_keys_.size(); ++k) {
@@ -497,7 +442,6 @@ ExecStatus MgjnOp::OpenImpl(ExecContext* ctx) {
   s = right_->Open(ctx);
   if (s != ExecStatus::kOk) return s;
   left_valid_ = right_valid_ = false;
-  left_eof_ = right_eof_ = false;
   in_group_ = false;
   const ExecStatus sl = AdvanceLeft(ctx);
   if (IsAbortStatus(sl)) return sl;
@@ -507,42 +451,37 @@ ExecStatus MgjnOp::OpenImpl(ExecContext* ctx) {
 }
 
 ExecStatus MgjnOp::AdvanceLeft(ExecContext* ctx) {
-  const ExecStatus s = left_->Next(ctx, &left_row_);
-  if (s == ExecStatus::kRow) {
-    ++ctx->work;
-    left_valid_ = true;
-    return s;
-  }
-  left_valid_ = false;
-  if (s == ExecStatus::kEof) left_eof_ = true;
+  const ExecStatus s = left_in_.PullRow(ctx, &left_row_);
+  left_valid_ = s == ExecStatus::kRow;
+  if (left_valid_) ++ctx->work;
   return s;
 }
 
 ExecStatus MgjnOp::AdvanceRight(ExecContext* ctx) {
-  const ExecStatus s = right_->Next(ctx, &right_row_);
-  if (s == ExecStatus::kRow) {
-    ++ctx->work;
-    right_valid_ = true;
-    return s;
-  }
-  right_valid_ = false;
-  if (s == ExecStatus::kEof) right_eof_ = true;
+  const ExecStatus s = right_in_.PullRow(ctx, &right_row_);
+  right_valid_ = s == ExecStatus::kRow;
+  if (right_valid_) ++ctx->work;
   return s;
 }
 
-ExecStatus MgjnOp::NextImpl(ExecContext* ctx, Row* out) {
-  while (true) {
-    if (ctx->CancelPending()) return ExecStatus::kCancelled;
+ExecStatus MgjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
+  const int64_t target =
+      BatchTarget(ctx, static_cast<int>(merge_.sources.size()));
+  out->Clear();
+  while (out->num_rows < target) {
+    if (ctx->CancelPending()) {
+      return FlushOrStatus(out, ExecStatus::kCancelled);
+    }
     if (in_group_) {
       if (group_pos_ < right_group_.size()) {
-        *out = merge_.Merge(left_row_, right_group_[group_pos_]);
+        out->AppendRowMove(merge_.Merge(left_row_, right_group_[group_pos_]));
         ++group_pos_;
-        return ExecStatus::kRow;
+        continue;
       }
       // Current left row finished its group; see if the next left row has
       // the same key and can reuse the buffered group.
       const ExecStatus s = AdvanceLeft(ctx);
-      if (IsAbortStatus(s)) return s;
+      if (IsAbortStatus(s)) return FlushOrStatus(out, s);
       if (left_valid_ &&
           CompareKeys(left_row_, right_group_.front()) == 0) {
         group_pos_ = 0;
@@ -552,32 +491,25 @@ ExecStatus MgjnOp::NextImpl(ExecContext* ctx, Row* out) {
       right_group_.clear();
     }
     if (!left_valid_ || (!right_valid_ && right_group_.empty())) {
-      if (left_eof_ || (right_eof_ && right_group_.empty() && !right_valid_)) {
-        return ExecStatus::kEof;
-      }
-      // A child returned a non-row status other than EOF earlier.
-      return ExecStatus::kEof;
+      // An input is exhausted (or returned a non-row status earlier).
+      return FlushOrStatus(out, ExecStatus::kEof);
     }
     const int cmp = CompareKeys(left_row_, right_row_);
     if (cmp < 0) {
       const ExecStatus s = AdvanceLeft(ctx);
-      if (IsAbortStatus(s)) return s;
-      if (!left_valid_) {
-        return ExecStatus::kEof;
-      }
+      if (IsAbortStatus(s)) return FlushOrStatus(out, s);
+      if (!left_valid_) return FlushOrStatus(out, ExecStatus::kEof);
     } else if (cmp > 0) {
       const ExecStatus s = AdvanceRight(ctx);
-      if (IsAbortStatus(s)) return s;
-      if (!right_valid_) {
-        return ExecStatus::kEof;
-      }
+      if (IsAbortStatus(s)) return FlushOrStatus(out, s);
+      if (!right_valid_) return FlushOrStatus(out, ExecStatus::kEof);
     } else {
       // Buffer the full right-side key group.
       right_group_.clear();
       right_group_.push_back(right_row_);
       while (true) {
         const ExecStatus s = AdvanceRight(ctx);
-        if (IsAbortStatus(s)) return s;
+        if (IsAbortStatus(s)) return FlushOrStatus(out, s);
         if (!right_valid_) break;
         if (CompareKeys(left_row_, right_row_) != 0) break;
         right_group_.push_back(right_row_);
@@ -586,6 +518,7 @@ ExecStatus MgjnOp::NextImpl(ExecContext* ctx, Row* out) {
       group_pos_ = 0;
     }
   }
+  return ExecStatus::kRow;
 }
 
 void MgjnOp::CloseImpl(ExecContext* ctx) {

@@ -64,9 +64,11 @@ class NljnOp : public Operator {
          TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
+  /// Also reconciles the outer rows of the held outer batch past the one
+  /// being probed: batch size 1 would never have pulled them.
+  void ReconcileAbort(int64_t unconsumed) override;
   const char* name() const override { return "NLJN"; }
   std::vector<const Operator*> children() const override {
     return {outer_.get()};
@@ -87,18 +89,17 @@ class NljnOp : public Operator {
   InnerAccess inner_;
   MergeSpec merge_;
 
-  Row outer_row_;
-  bool outer_valid_ = false;
   // Probe state: either an index candidate list (copied out of the index
   // under its shared lock, so concurrent index maintenance can't invalidate
   // it mid-iteration) or a full-scan cursor.
   std::vector<int64_t> index_candidates_;
   size_t candidate_pos_ = 0;
   int64_t scan_rid_ = 0;
-  // Vectorized path: the held outer batch and the index of the active row
-  // currently being probed (advanced once its candidates are exhausted).
-  // Probe state above resumes across output batches, so an outer row with
-  // more matches than one batch holds continues where it stopped.
+  // The held outer batch and the index of the active row currently being
+  // probed (advanced once its candidates are exhausted). Probe state above
+  // resumes across output batches, so an outer row with more matches than
+  // one batch holds continues where it stopped.
+  bool outer_valid_ = false;
   RowBatch outer_batch_;
   bool outer_batch_valid_ = false;
   int64_t outer_idx_ = 0;
@@ -127,10 +128,15 @@ class HsjnOp : public Operator {
          bool offer_build_for_reuse);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
+  /// The in-memory probe emits every match of each probe row it pulls, so
+  /// a batch can exceed its target.
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;
+  /// Besides its own over-produced rows, reconciles the probe rows of the
+  /// last probe batch that lie past the one whose match was consumed last:
+  /// batch size 1 would never have pulled them.
+  void ReconcileAbort(int64_t unconsumed) override;
   const char* name() const override { return "HSJN"; }
   std::vector<const Operator*> children() const override {
     return {probe_.get(), build_.get()};
@@ -141,6 +147,9 @@ class HsjnOp : public Operator {
 
   Row BuildKey(const Row& row) const;
   Row ProbeKey(const Row& row) const;
+  /// In-memory build rows matching the i-th active row of probe_batch_
+  /// (null if none); `key` is scratch.
+  const std::vector<size_t>* ProbeMatches(int64_t i, Row* key) const;
   /// Recursively partitions build/probe rows until each build partition
   /// fits in memory, charging one work unit per row per level.
   ExecStatus Join(ExecContext* ctx, std::vector<Row>* build,
@@ -171,15 +180,14 @@ class HsjnOp : public Operator {
   KeyMap map_;
   std::vector<KeyMap> part_maps_;
   bool partitioned_ = false;
-  Row probe_row_;
-  const std::vector<size_t>* matches_ = nullptr;
-  size_t match_pos_ = 0;
-  RowBatch probe_batch_;  ///< Vectorized probe scratch.
+  RowBatch probe_batch_;        ///< Last probe batch pulled.
+  int64_t last_out_rows_ = 0;  ///< Rows of the last in-memory output batch.
 };
 
 /// Merge join over two inputs sorted on the join keys (the optimizer
 /// inserts SortOp children). Buffers each right-side key group to emit the
-/// cross product with equal left rows.
+/// cross product with equal left rows. Both inputs are read one row at a
+/// time (RowPuller), so neither sorted input is read ahead of the merge.
 class MgjnOp : public Operator {
  public:
   MgjnOp(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
@@ -187,7 +195,7 @@ class MgjnOp : public Operator {
          MergeSpec merge, TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
+  ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "MGJN"; }
   std::vector<const Operator*> children() const override {
@@ -204,10 +212,11 @@ class MgjnOp : public Operator {
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   MergeSpec merge_;
+  RowPuller left_in_;
+  RowPuller right_in_;
 
   Row left_row_, right_row_;
   bool left_valid_ = false, right_valid_ = false;
-  bool left_eof_ = false, right_eof_ = false;
   std::vector<Row> right_group_;  ///< Current right key group.
   size_t group_pos_ = 0;
   bool in_group_ = false;

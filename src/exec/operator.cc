@@ -20,27 +20,19 @@ const char* CheckFlavorName(CheckFlavor flavor) {
   return "?";
 }
 
-ExecStatus Operator::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  // Row-assembly fallback: the operator (and, through its row-mode Next
-  // pulls, its whole subtree) runs with row-engine semantics; this only
-  // packages the produced rows. A terminal status hit after a non-empty
-  // prefix is flushed via FlushOrStatus so the prefix reaches the consumer
-  // exactly as the row engine would have streamed it.
-  int64_t target = BatchTarget(ctx);
-  out->Clear();
-  Row row;
-  while (out->ActiveRows() < target) {
-    const ExecStatus s = NextImpl(ctx, &row);
-    if (s != ExecStatus::kRow) return FlushOrStatus(out, s);
-    out->AppendRowMove(std::move(row));
-    row.clear();
-    // The first row reveals the output width; tighten the target to the
-    // width-aware cap (never above the original, so clamps stay exact).
-    if (out->num_rows == 1) {
-      const int64_t capped = BatchTarget(ctx, out->width());
-      if (capped < target) target = capped;
+ExecStatus RowPuller::PullRow(ExecContext* ctx, Row* out) {
+  if (pos_ >= batch_.ActiveRows()) {
+    const int64_t full_target = ctx->batch_rows;
+    ctx->batch_rows = 1;
+    const ExecStatus s = child_->NextBatch(ctx, &batch_);
+    ctx->batch_rows = full_target;
+    pos_ = 0;
+    if (s != ExecStatus::kRow) {
+      batch_.Clear();
+      return s;
     }
   }
+  batch_.MaterializeRow(pos_++, out);
   return ExecStatus::kRow;
 }
 
@@ -48,20 +40,9 @@ ExecStatus RunToCompletion(Operator* root, ExecContext* ctx,
                            std::vector<Row>* out_rows) {
   ExecStatus status = root->Open(ctx);
   if (status == ExecStatus::kOk) {
-    if (ctx->batch_rows > 1) {
-      RowBatch batch;
-      while (true) {
-        status = root->NextBatch(ctx, &batch);
-        if (status != ExecStatus::kRow) break;
-        batch.MoveRowsInto(out_rows);
-      }
-    } else {
-      Row row;
-      while (true) {
-        status = root->Next(ctx, &row);
-        if (status != ExecStatus::kRow) break;
-        out_rows->push_back(row);
-      }
+    RowBatch batch;
+    while ((status = root->NextBatch(ctx, &batch)) == ExecStatus::kRow) {
+      batch.MoveRowsInto(out_rows);
     }
   }
   root->Close(ctx);
@@ -70,39 +51,13 @@ ExecStatus RunToCompletion(Operator* root, ExecContext* ctx,
 
 ExecStatus DrainChildRows(Operator* child, ExecContext* ctx,
                           std::vector<Row>* rows) {
+  RowBatch batch;
   ExecStatus s;
-  if (ctx->batch_rows > 1) {
-    RowBatch batch;
-    while (true) {
-      s = child->NextBatch(ctx, &batch);
-      if (s != ExecStatus::kRow) return s;
-      ctx->work += batch.ActiveRows();
-      batch.MoveRowsInto(rows);
-    }
-  } else {
-    Row row;
-    while (true) {
-      s = child->Next(ctx, &row);
-      if (s != ExecStatus::kRow) return s;
-      ++ctx->work;
-      rows->push_back(std::move(row));
-    }
+  while ((s = child->NextBatch(ctx, &batch)) == ExecStatus::kRow) {
+    ctx->work += batch.ActiveRows();
+    batch.MoveRowsInto(rows);
   }
-}
-
-ExecStatus RunToCompletionBatches(Operator* root, ExecContext* ctx,
-                                  std::vector<RowBatch>* out_batches) {
-  ExecStatus status = root->Open(ctx);
-  if (status == ExecStatus::kOk) {
-    while (true) {
-      RowBatch batch;
-      status = root->NextBatch(ctx, &batch);
-      if (status != ExecStatus::kRow) break;
-      out_batches->push_back(std::move(batch));
-    }
-  }
-  root->Close(ctx);
-  return status;
+  return s;
 }
 
 }  // namespace popdb

@@ -18,8 +18,8 @@ namespace popdb {
 /// Result of an operator call.
 enum class ExecStatus {
   kOk,          ///< Open succeeded.
-  kRow,         ///< Next produced a row.
-  kEof,         ///< Next reached end of stream.
+  kRow,         ///< NextBatch produced rows.
+  kEof,         ///< NextBatch reached end of stream.
   kReoptimize,  ///< A CHECK fired; unwind and re-optimize.
   kError,       ///< Internal failure; details in ExecContext::error.
   kCancelled,   ///< Cooperative cancellation (client request or deadline).
@@ -146,11 +146,11 @@ struct ExecContext {
   int64_t morsels_dispatched = 0;
   int64_t parallel_work = 0;  ///< Work units spent inside morsel tasks.
 
-  /// Vectorized execution: target rows per RowBatch exchanged between
-  /// operators. <= 1 selects the row-at-a-time engine; operators driven
-  /// through Next() always run row-at-a-time regardless of this value, so
-  /// a consumer that needs row-granular semantics (streaming CHECKs, work
-  /// bounds) simply pulls rows and its whole subtree follows.
+  /// Target rows per RowBatch exchanged between operators. <= 1 means
+  /// batches of one row, where every batch boundary is a row boundary:
+  /// the reference granularity that every other size must reproduce.
+  /// Consumers that need row-granular work accounting (MGJN, WORKBOUND)
+  /// clamp it to 1 for their subtrees through RowPuller.
   int64_t batch_rows = 1;
 
   /// Strided poll: checks the token every kCancelPollStride calls so the
@@ -170,14 +170,13 @@ struct ExecContext {
 };
 
 /// Per-operator execution counters and (sampled) wall-clock timings, read
-/// by EXPLAIN ANALYZE after execution. Timing in the Next hot loop uses
-/// strided clock reads — one measured call out of kTimingStride, scaled —
-/// so instrumentation is compiled-in but cheap.
+/// by EXPLAIN ANALYZE after execution. Pulls of small batches use strided
+/// clock reads — one measured call out of kTimingStride, scaled — so
+/// instrumentation is compiled-in but cheap even one row at a time.
 struct OperatorStats {
-  int64_t next_calls = 0;  ///< Total Next/NextBatch invocations (incl. EOF).
-  int64_t batches = 0;     ///< NextBatch invocations (vectorized pulls).
+  int64_t next_calls = 0;  ///< Total NextBatch invocations (incl. EOF).
   int64_t open_ns = 0;     ///< Wall time inside Open (subtree included).
-  int64_t next_ns = 0;     ///< Estimated total wall time inside Next.
+  int64_t next_ns = 0;     ///< Estimated total wall time inside NextBatch.
   int64_t close_ns = 0;    ///< Wall time inside Close.
   int64_t loops = 0;       ///< NLJN: outer rows probed against the inner.
   int64_t partitions = 0;  ///< HSJN: leaf partitions joined after spilling.
@@ -189,13 +188,14 @@ struct OperatorStats {
 };
 
 /// Base class for Volcano-style iterators (open/next/close; Figure 10 of
-/// the paper uses the same model). Single-threaded; an operator tree is
-/// driven by repeatedly calling Next on the root.
+/// the paper uses the same model) that exchange RowBatches. Single-
+/// threaded; an operator tree is driven by repeatedly calling NextBatch on
+/// the root. A batch of one row is the classic row-at-a-time iterator.
 ///
-/// The public Open/Next/Close entry points are non-virtual wrappers that
-/// maintain OperatorStats (row counts, strided wall-clock timings), emit
-/// one tracer span per operator lifetime, and centralize the row/EOF
-/// accounting; subclasses implement OpenImpl/NextImpl/CloseImpl.
+/// The public Open/NextBatch/Close entry points are non-virtual wrappers
+/// that maintain OperatorStats (row counts, wall-clock timings), emit one
+/// tracer span per operator lifetime, and centralize the row/EOF
+/// accounting; subclasses implement OpenImpl/NextBatchImpl/CloseImpl.
 ///
 /// Every operator counts the rows it produces (`rows_produced`) and whether
 /// it ran to completion (`eof_seen`); the POP controller turns these into
@@ -218,51 +218,35 @@ class Operator {
     return s;
   }
 
-  /// Produces the next row into `*out`. Returns kRow, kEof, kReoptimize,
-  /// kCancelled or kError. After kEof the call must not be repeated.
-  ExecStatus Next(ExecContext* ctx, Row* out) {
-    // Strided clock reads: every kTimingStride-th call is measured and
-    // scaled up, so the common case pays one increment and one mask.
-    if ((++stats_.next_calls & (kTimingStride - 1)) != 0) {
-      const ExecStatus s = NextImpl(ctx, out);
-      if (s == ExecStatus::kRow) {
-        ++rows_produced_;
-      } else if (s == ExecStatus::kEof) {
-        eof_seen_ = true;
-      }
-      return s;
-    }
-    const int64_t t0 = ClockNs();
-    const ExecStatus s = NextImpl(ctx, out);
-    stats_.next_ns += (ClockNs() - t0) * kTimingStride;
-    if (s == ExecStatus::kRow) {
-      ++rows_produced_;
-    } else if (s == ExecStatus::kEof) {
-      eof_seen_ = true;
-    }
-    return s;
-  }
-
-  /// Produces the next batch of rows into `*out`. Returns kRow with at
-  /// least one active row, or a terminal status with an untouched batch.
-  /// Statuses raised mid-assembly after a non-empty prefix are delivered on
-  /// the following call, so rows that the row engine would have streamed
-  /// before an abort are never lost. After kEof the call must not be
-  /// repeated. Mixing Next and NextBatch on one operator is not supported;
-  /// a consumer picks one granularity for the operator's lifetime.
+  /// Produces the next batch of rows into `*out`, the one way to pull rows
+  /// from an operator. Returns kRow with at least one active row, or a
+  /// terminal status (kEof, kReoptimize, kCancelled, kError). Statuses
+  /// raised mid-assembly after a non-empty prefix are delivered on the
+  /// following call, so rows produced before an abort are never lost.
+  /// After kEof the call must not be repeated.
   ExecStatus NextBatch(ExecContext* ctx, RowBatch* out) {
     ++stats_.next_calls;
-    ++stats_.batches;
     if (pending_batch_status_ != ExecStatus::kOk) {
       const ExecStatus s = pending_batch_status_;
       pending_batch_status_ = ExecStatus::kOk;
       if (s == ExecStatus::kEof) eof_seen_ = true;
       return s;
     }
-    out->reserve_hint = BatchTarget(ctx);
-    const int64_t t0 = ClockNs();
-    const ExecStatus s = NextBatchImpl(ctx, out);
-    stats_.next_ns += ClockNs() - t0;
+    const int64_t target = BatchTarget(ctx);
+    out->reserve_hint = target;
+    // Batches of kTimingStride rows or more are timed on every call.
+    // Smaller ones (batch size 1, the row-granular pulls under MGJN and
+    // WORKBOUND) are timed one call in kTimingStride and scaled up, so a
+    // one-row pull pays an increment and a mask, not two clock reads.
+    const int64_t stride = target < kTimingStride ? kTimingStride : 1;
+    ExecStatus s;
+    if ((stats_.next_calls & (stride - 1)) != 0) {
+      s = NextBatchImpl(ctx, out);
+    } else {
+      const int64_t t0 = ClockNs();
+      s = NextBatchImpl(ctx, out);
+      stats_.next_ns += (ClockNs() - t0) * stride;
+    }
     if (s == ExecStatus::kRow) {
       rows_produced_ += out->ActiveRows();
     } else if (s == ExecStatus::kEof) {
@@ -271,13 +255,15 @@ class Operator {
     return s;
   }
 
-  /// Reverses producer-side accounting for `unconsumed` rows of the last
-  /// batch when a batch-boundary CHECK truncates it mid-batch. Enforced
-  /// CHECKs clamp their child's batch target so the aborting row is always
-  /// the last one pulled; this hook is the defensive backstop for a child
-  /// that over-produces past its target, where dropping the produced-row
-  /// count keeps harvested feedback identical to the row engine's (the
-  /// violating row itself stays consumed).
+  /// Reverses producer-side accounting for `unconsumed` trailing rows of
+  /// the last batch when a consumer aborts right after it (a CHECK firing
+  /// mid-batch). Enforced CHECKs clamp their child's batch target so the
+  /// aborting row is the last one pulled, but a child may over-produce
+  /// past its target (the in-memory HSJN probe emits every match of a
+  /// probe row); dropping the produced-row count keeps harvested feedback
+  /// identical to batch size 1 (the violating row itself stays consumed).
+  /// Called on every enforced abort, also with 0, so producers that read
+  /// ahead of their output can reconcile their own inputs.
   virtual void ReconcileAbort(int64_t unconsumed) {
     rows_produced_ -= unconsumed;
   }
@@ -338,20 +324,13 @@ class Operator {
   explicit Operator(TableSet table_set) : table_set_(table_set) {}
 
   virtual ExecStatus OpenImpl(ExecContext* ctx) = 0;
-  virtual ExecStatus NextImpl(ExecContext* ctx, Row* out) = 0;
+  virtual ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) = 0;
   virtual void CloseImpl(ExecContext* ctx) = 0;
-
-  /// Batch production. The default assembles a batch by driving this
-  /// operator's own NextImpl row-at-a-time (children are pulled through
-  /// row-mode Next), which preserves row-engine semantics bit-exactly for
-  /// operators without a native vectorized path. Subclasses with a native
-  /// path override this.
-  virtual ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out);
 
   /// Stashes `s` for delivery on the next NextBatch call and returns kRow
   /// if `out` carries a non-empty prefix; returns `s` directly otherwise.
-  /// Native NextBatchImpl overrides use this to flush rows produced before
-  /// a mid-batch terminal status.
+  /// NextBatchImpl overrides use this to flush rows produced before a
+  /// mid-batch terminal status.
   ExecStatus FlushOrStatus(RowBatch* out, ExecStatus s) {
     if (out->ActiveRows() == 0) return s;
     pending_batch_status_ = s;
@@ -379,7 +358,7 @@ class Operator {
 
   /// For exchange-style operators whose rows are consumed inside worker
   /// tasks (hash-agg pre-aggregation) instead of being pulled through
-  /// Next: folds the externally consumed count into rows_produced so
+  /// NextBatch: folds the externally consumed count into rows_produced so
   /// feedback harvesting sees the true fragment cardinality.
   void CreditExternalRows(int64_t n) { rows_produced_ += n; }
 
@@ -405,31 +384,43 @@ class Operator {
   ExecStatus pending_batch_status_ = ExecStatus::kOk;
 };
 
+/// Row-granular pull over a child's batch stream, for operators whose
+/// decisions depend on ctx->work row by row (MGJN, WORKBOUND). Each pull
+/// runs the child with the context batch target clamped to one row, so
+/// the child's whole subtree charges work row by row and a sorted input is
+/// never read ahead. A child that emits more than its target (the
+/// in-memory HSJN probe emits every match of a probe row) is served from
+/// the held batch before the next pull.
+class RowPuller {
+ public:
+  explicit RowPuller(Operator* child) : child_(child) {}
+
+  /// Copies the child's next row into `*out` and returns kRow, or returns
+  /// the child's terminal status.
+  ExecStatus PullRow(ExecContext* ctx, Row* out);
+
+  /// Rows pulled from the child but not yet handed out; a consumer that
+  /// aborts passes them to the child's ReconcileAbort.
+  int64_t held() const { return batch_.ActiveRows() - pos_; }
+
+ private:
+  Operator* child_;
+  RowBatch batch_;
+  int64_t pos_ = 0;  ///< Next active row of batch_ to hand out.
+};
+
 /// Runs `root` to completion, appending produced rows to `*out_rows`.
 /// Returns the final status (kEof on success, kReoptimize if a checkpoint
 /// fired, kError on failure). Opens and closes the tree.
 ExecStatus RunToCompletion(Operator* root, ExecContext* ctx,
                            std::vector<Row>* out_rows);
 
-/// Runs `root` to completion pulling batches, appending produced batches to
-/// `*out_batches` (moved, so the per-operator column buffers are recycled).
-/// Opens and closes the tree. Used by parallel fragment workers.
-ExecStatus RunToCompletionBatches(Operator* root, ExecContext* ctx,
-                                  std::vector<RowBatch>* out_batches);
-
 /// Drains an already-open `child` to EOF into `*rows`, charging one work
 /// unit per row — the materialization drain shared by SORT/TEMP and the
-/// hash-join build and spill-probe sides. Pulls batches when the context is
-/// vectorized, rows otherwise; either way the materialized rows, their
-/// order, and the work charged are identical. Returns kEof on completion or
-/// the child's abort status (rows drained before the abort are kept, as in
-/// row-at-a-time execution).
+/// hash-join build and spill-probe sides. Returns kEof on completion or the
+/// child's abort status (rows drained before the abort are kept).
 ExecStatus DrainChildRows(Operator* child, ExecContext* ctx,
                           std::vector<Row>* rows);
-
-/// Collects all operators of a tree in pre-order (for counter harvesting).
-/// Not part of Operator to keep the iterator interface minimal; the plan
-/// builder records the operator list instead.
 
 }  // namespace popdb
 

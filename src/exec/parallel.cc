@@ -87,7 +87,6 @@ int StatusSeverity(ExecStatus s) {
 
 void AccumulateStats(const OperatorStats& from, OperatorStats* into) {
   into->next_calls += from.next_calls;
-  into->batches += from.batches;
   into->open_ns += from.open_ns;
   into->next_ns += from.next_ns;
   into->close_ns += from.close_ns;
@@ -160,11 +159,12 @@ ExecStatus MorselExchangeOp::OpenImpl(ExecContext* ctx) {
       if (sink_) {
         s = frag->Open(&tctx);
         if (s == ExecStatus::kOk) {
-          Row row;
-          while ((s = frag->Next(&tctx, &row)) == ExecStatus::kRow) {
-            ++tctx.work;  // The consumer's per-row charge happens here.
-            ++local_sink_rows;
-            sink_(widx, row);
+          RowBatch batch;
+          while ((s = frag->NextBatch(&tctx, &batch)) == ExecStatus::kRow) {
+            // The consumer's per-row charge happens here.
+            tctx.work += batch.ActiveRows();
+            local_sink_rows += batch.ActiveRows();
+            sink_(widx, batch);
           }
         }
         frag->Close(&tctx);
@@ -214,27 +214,11 @@ ExecStatus MorselExchangeOp::OpenImpl(ExecContext* ctx) {
     return ExecStatus::kReoptimize;
   }
   if (sink_) {
-    // Rows consumed inside the tasks never flow through Next; credit them
-    // so harvested feedback still sees the exact fragment cardinality.
+    // Rows consumed inside the tasks never flow through NextBatch; credit
+    // them so harvested feedback still sees the exact fragment cardinality.
     CreditExternalRows(total_sink_rows);
   }
   return ExecStatus::kOk;
-}
-
-ExecStatus MorselExchangeOp::NextImpl(ExecContext* ctx, Row* out) {
-  (void)ctx;  // Work was already charged by the fragment tasks.
-  while (cursor_morsel_ < buffers_.size()) {
-    std::vector<Row>& buf = buffers_[cursor_morsel_];
-    if (cursor_pos_ < buf.size()) {
-      *out = std::move(buf[cursor_pos_]);
-      ++cursor_pos_;
-      return ExecStatus::kRow;
-    }
-    std::vector<Row>().swap(buf);  // Free each morsel as it drains.
-    ++cursor_morsel_;
-    cursor_pos_ = 0;
-  }
-  return ExecStatus::kEof;
 }
 
 ExecStatus MorselExchangeOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

@@ -43,11 +43,10 @@ struct ParallelPolicy {
   /// execution for integer/COUNT/MIN/MAX aggregates.
   bool preaggregate = false;
 
-  /// Rows per execution batch (exec/batch.h). Values > 1 run the plan —
-  /// including morsel fragments — through the vectorized NextBatch path;
-  /// <= 1 selects the row-at-a-time engine. Results, CHECK firings and
-  /// harvested feedback are bit-identical either way; this knob only
-  /// trades interpretation overhead against batch memory.
+  /// Rows per execution batch (exec/batch.h) for the plan, morsel
+  /// fragments included; <= 1 means batches of one row. Results, CHECK
+  /// firings and harvested feedback are bit-identical at every size; this
+  /// knob only trades interpretation overhead against batch memory.
   int64_t batch_rows = 1024;
 
   bool enabled() const { return dop > 1; }
@@ -136,9 +135,10 @@ class MorselExchangeOp : public Operator {
   using FragmentFactory =
       std::function<std::unique_ptr<Operator>(int64_t begin, int64_t end)>;
 
-  /// Receives rows inside the producing task (hash-agg pre-aggregation).
-  /// Called concurrently, but never concurrently for one worker index.
-  using RowSink = std::function<void(int worker, const Row& row)>;
+  /// Receives each fragment batch inside the producing task (hash-agg
+  /// pre-aggregation). Called concurrently, but never concurrently for one
+  /// worker index.
+  using BatchSink = std::function<void(int worker, const RowBatch& batch)>;
 
   MorselExchangeOp(FragmentFactory factory, int64_t source_rows,
                    TableSet table_set, ParallelPolicy policy)
@@ -147,11 +147,11 @@ class MorselExchangeOp : public Operator {
         source_rows_(source_rows),
         policy_(policy) {}
 
-  /// Diverts rows to `sink` instead of the reorder buffers: Next() then
-  /// reports EOF immediately and the externally consumed row count is
+  /// Diverts rows to `sink` instead of the reorder buffers: NextBatch()
+  /// then reports EOF immediately and the externally consumed row count is
   /// credited to rows_produced so feedback stays exact. Set before Open,
   /// clear (pass nullptr) after; the exchange does not own sink state.
-  void SetRowSink(RowSink sink) { sink_ = std::move(sink); }
+  void SetBatchSink(BatchSink sink) { sink_ = std::move(sink); }
 
   const ParallelPolicy& policy() const { return policy_; }
   /// Morsels executed during the last Open (all of them unless aborted).
@@ -163,9 +163,8 @@ class MorselExchangeOp : public Operator {
   const OperatorStats& fragment_stats() const { return fragment_stats_; }
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
-  /// Serves the merged morsel outputs as batches (same rows, same morsel
-  /// order as NextImpl; rows are moved out of the reorder buffers).
+  /// Serves the merged morsel outputs in morsel order (rows are moved out
+  /// of the reorder buffers).
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "EXCHANGE"; }
@@ -174,9 +173,9 @@ class MorselExchangeOp : public Operator {
   FragmentFactory factory_;
   int64_t source_rows_;
   ParallelPolicy policy_;
-  RowSink sink_;
+  BatchSink sink_;
 
-  /// Per-morsel output, merged in morsel (= rid) order by NextImpl.
+  /// Per-morsel output, merged in morsel (= rid) order by NextBatchImpl.
   std::vector<std::vector<Row>> buffers_;
   size_t cursor_morsel_ = 0;
   size_t cursor_pos_ = 0;

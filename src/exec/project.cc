@@ -2,19 +2,6 @@
 
 namespace popdb {
 
-ExecStatus ProjectOp::NextImpl(ExecContext* ctx, Row* out) {
-  Row row;
-  const ExecStatus s = child_->Next(ctx, &row);
-  if (s != ExecStatus::kRow) {
-    return s;
-  }
-  ++ctx->work;
-  out->clear();
-  out->reserve(positions_.size());
-  for (int pos : positions_) out->push_back(row[static_cast<size_t>(pos)]);
-  return ExecStatus::kRow;
-}
-
 ExecStatus ProjectOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   const ExecStatus s = child_->NextBatch(ctx, &in_batch_);
   if (s != ExecStatus::kRow) return s;
@@ -47,26 +34,6 @@ ExecStatus ProjectOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   }
   out->num_rows = n;
   return ExecStatus::kRow;
-}
-
-ExecStatus FilterOp::NextImpl(ExecContext* ctx, Row* out) {
-  while (true) {
-    const ExecStatus s = child_->Next(ctx, out);
-    if (s != ExecStatus::kRow) {
-      return s;
-    }
-    ++ctx->work;
-    bool pass = true;
-    for (const ResolvedPredicate& p : preds_) {
-      if (!EvalPredicate(p, *out)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) {
-      return ExecStatus::kRow;
-    }
-  }
 }
 
 ExecStatus FilterOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

@@ -17,7 +17,6 @@ class ProjectOp : public Operator {
       : Operator(0), child_(std::move(child)), positions_(std::move(positions)) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override { return child_->Open(ctx); }
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "PROJECT"; }
@@ -28,7 +27,7 @@ class ProjectOp : public Operator {
  private:
   std::unique_ptr<Operator> child_;
   std::vector<int> positions_;
-  RowBatch in_batch_;           ///< Scratch input batch (vectorized path).
+  RowBatch in_batch_;           ///< Scratch input batch.
   std::vector<char> move_src_;  ///< Last use of a source column: move it.
 };
 
@@ -42,7 +41,6 @@ class FilterOp : public Operator {
       : Operator(table_set), child_(std::move(child)), preds_(std::move(preds)) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override { return child_->Open(ctx); }
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "FILTER"; }

@@ -12,31 +12,6 @@ ExecStatus TableScanOp::OpenImpl(ExecContext* ctx) {
   return ExecStatus::kOk;
 }
 
-ExecStatus TableScanOp::NextImpl(ExecContext* ctx, Row* out) {
-  while (next_rid_ < stop_rid_) {
-    if (ctx->CancelPending()) return ExecStatus::kCancelled;
-    if (!snapshot_.alive(next_rid_)) {
-      ++next_rid_;
-      continue;
-    }
-    const Row& row = snapshot_.row(next_rid_);
-    ++next_rid_;
-    ++ctx->work;
-    bool pass = true;
-    for (const ResolvedPredicate& p : preds_) {
-      if (!EvalPredicate(p, row)) {
-        pass = false;
-        break;
-      }
-    }
-    if (pass) {
-      *out = row;
-      return ExecStatus::kRow;
-    }
-  }
-  return ExecStatus::kEof;
-}
-
 ExecStatus TableScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   const int64_t target =
       BatchTarget(ctx, snapshot_.table()->schema().num_columns());
@@ -69,16 +44,6 @@ ExecStatus MatViewScanOp::OpenImpl(ExecContext* ctx) {
   (void)ctx;
   next_ = 0;
   return ExecStatus::kOk;
-}
-
-ExecStatus MatViewScanOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (next_ < rows_->size()) {
-    ++ctx->work;
-    *out = (*rows_)[next_];
-    ++next_;
-    return ExecStatus::kRow;
-  }
-  return ExecStatus::kEof;
 }
 
 ExecStatus MatViewScanOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

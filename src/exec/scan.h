@@ -39,7 +39,6 @@ class TableScanOp : public Operator {
                     end_rid) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "TBSCAN"; }
@@ -62,7 +61,6 @@ class MatViewScanOp : public Operator {
       : Operator(table_set), rows_(rows) {}
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   const char* name() const override { return "MVSCAN"; }

@@ -72,16 +72,6 @@ ExecStatus SortOp::OpenImpl(ExecContext* ctx) {
   return ExecStatus::kOk;
 }
 
-ExecStatus SortOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (ctx->CancelPending()) return ExecStatus::kCancelled;
-  if (next_ < rows_.size()) {
-    ++ctx->work;
-    *out = rows_[next_++];
-    return ExecStatus::kRow;
-  }
-  return ExecStatus::kEof;
-}
-
 ExecStatus SortOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
   if (ctx->CancelPending()) return ExecStatus::kCancelled;
   const int64_t target = BatchTarget(
@@ -122,16 +112,6 @@ ExecStatus TempOp::OpenImpl(ExecContext* ctx) {
   complete_ = true;
   next_ = 0;
   return ExecStatus::kOk;
-}
-
-ExecStatus TempOp::NextImpl(ExecContext* ctx, Row* out) {
-  if (ctx->CancelPending()) return ExecStatus::kCancelled;
-  if (next_ < rows_.size()) {
-    ++ctx->work;
-    *out = rows_[next_++];
-    return ExecStatus::kRow;
-  }
-  return ExecStatus::kEof;
 }
 
 ExecStatus TempOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {

@@ -28,7 +28,6 @@ class SortOp : public Operator {
          TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;
@@ -60,7 +59,6 @@ class TempOp : public Operator {
   TempOp(std::unique_ptr<Operator> child, TableSet table_set);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  ExecStatus NextImpl(ExecContext* ctx, Row* out) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;

@@ -9,6 +9,7 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <thread>
 #include <utility>
@@ -22,6 +23,32 @@
 namespace popdb::net {
 
 namespace {
+
+void AppendFiniteOrNull(double v, JsonWriter* w) {
+  if (std::isfinite(v)) {
+    w->Double(v);
+  } else {
+    w->Null();
+  }
+}
+
+/// The check_violation frame a shard sends when a CHECK in its subplan
+/// fired.
+std::string ViolationJson(const ReoptSignal& signal) {
+  JsonWriter w;
+  w.BeginObject();
+  w.Key("type").String("check_violation");
+  w.Key("edge_set").Int(static_cast<int64_t>(signal.edge_set));
+  w.Key("observed_rows").Double(signal.observed_rows);
+  w.Key("exact").Bool(signal.exact);
+  w.Key("flavor").Int(static_cast<int64_t>(signal.flavor));
+  w.Key("check_lo");
+  AppendFiniteOrNull(signal.check_lo, &w);
+  w.Key("check_hi");
+  AppendFiniteOrNull(signal.check_hi, &w);
+  w.EndObject();
+  return w.str();
+}
 
 /// Wire frames are small control messages; row batches are produced by the
 /// server, never parsed. Bound the parse work an untrusted frame can cause.
@@ -546,35 +573,29 @@ bool NetServer::HandleSubplan(ConnState* conn, const JsonValue& request) {
   trace.execute_ms = result.execute_ms;
   trace.total_ms = result.execute_ms;
   trace.result_rows = result.rows_sent;
+  // Rendered once for the query_done frame; the trace keeps the tree.
+  const std::string profile_json =
+      result.has_profile ? ProfileToJsonString(result.profile) : "";
   AttemptInfo& attempt = trace.attempts.emplace_back();
   attempt.execute_ms = result.execute_ms;
   attempt.rows_returned = result.rows_sent;
-  if (!result.violation_json.empty()) {
-    // The fired CHECK's flavor, decoded once from the check_violation
-    // frame, feeds both the trace's reopt_flavor and the log's per-flavor
-    // counts.
-    Result<JsonValue> violation = JsonParse(result.violation_json);
-    const int64_t flavor =
-        violation.ok() ? violation.value().GetInt("flavor", 0) : 0;
+  if (result.violation.triggered) {
+    // The fired CHECK's flavor feeds both the trace's reopt_flavor and the
+    // log's per-flavor counts.
     attempt.reoptimized = true;
-    attempt.signal.flavor = static_cast<CheckFlavor>(flavor);
+    attempt.signal = result.violation;
     trace.check_events = 1;
     trace.checks_fired = 1;
-    trace.flavor_fired[flavor] = 1;
+    trace.flavor_fired[static_cast<int>(result.violation.flavor)] = 1;
   }
-  if (!result.profile_json.empty()) {
-    Result<JsonValue> parsed_profile = JsonParse(result.profile_json);
-    if (parsed_profile.ok() &&
-        ProfileFromJson(parsed_profile.value(), &attempt.profile)) {
-      attempt.has_profile = true;
-    }
-  }
+  attempt.has_profile = result.has_profile;
+  attempt.profile = std::move(result.profile);
   service_->RecordCompletion(&trace);
   if (traces_ != nullptr) traces_->Emit(trace);
   if (!alive) return false;
 
-  if (!result.violation_json.empty()) {
-    if (!SendFrame(conn, result.violation_json)) return false;
+  if (result.violation.triggered) {
+    if (!SendFrame(conn, ViolationJson(result.violation))) return false;
   }
   JsonWriter w;
   w.BeginObject();
@@ -588,9 +609,7 @@ bool NetServer::HandleSubplan(ConnState* conn, const JsonValue& request) {
   w.Key("result_rows").Int(result.rows_sent);
   w.Key("execute_ms").Double(result.execute_ms);
   w.Key("observations").Raw(result.observations_json);
-  if (!result.profile_json.empty()) {
-    w.Key("profile").Raw(result.profile_json);
-  }
+  if (result.has_profile) w.Key("profile").Raw(profile_json);
   w.EndObject();
   return SendFrame(conn, w.str());
 }

@@ -38,15 +38,17 @@ class SubplanBackend {
     Status status;
     /// "ok", "reoptimize", "cancelled", "deadline", or "error".
     std::string outcome = "ok";
-    /// Full check_violation frame payload, or empty when no CHECK fired.
-    std::string violation_json;
+    /// The fired CHECK (`triggered`), rendered as the check_violation
+    /// frame.
+    ReoptSignal violation;
     /// JSON array of {set, rows, exact} cardinality observations.
     std::string observations_json = "[]";
     int64_t rows_sent = 0;
-    /// Serialized PlanProfileNode tree (core/explain.h ProfileToJson) of
-    /// the executed fragment, or empty when no profile was captured. The
-    /// coordinator merges these into the distributed EXPLAIN ANALYZE view.
-    std::string profile_json;
+    /// EXPLAIN ANALYZE tree of the executed fragment, when `has_profile`.
+    /// The coordinator merges these into the distributed EXPLAIN ANALYZE
+    /// view.
+    bool has_profile = false;
+    PlanProfileNode profile;
     /// Shard-side wall-clock execution time for this subplan.
     double execute_ms = 0.0;
     /// Query name from the request, for trace/query-log attribution.

@@ -48,17 +48,19 @@ double Histogram::Quantile(double q) const {
   const int64_t total = count();
   if (total <= 0) return std::numeric_limits<double>::quiet_NaN();
   q = std::min(1.0, std::max(0.0, q));
-  const int64_t target =
-      std::max<int64_t>(1, static_cast<int64_t>(std::ceil(
-                               q * static_cast<double>(total))));
-  int64_t cumulative = 0;
+  const double rank = q * static_cast<double>(total);
+  int64_t below = 0;  // Observations in the buckets before bucket i.
   for (size_t i = 0; i <= bounds_.size(); ++i) {
-    cumulative += counts_[i].load(std::memory_order_relaxed);
-    if (cumulative >= target) {
+    const int64_t in_bucket = counts_[i].load(std::memory_order_relaxed);
+    if (in_bucket > 0 && static_cast<double>(below + in_bucket) >= rank) {
       // The +Inf bucket has no finite upper bound; report the largest
       // finite boundary rather than infinity.
-      return i < bounds_.size() ? bounds_[i] : bounds_.back();
+      if (i == bounds_.size()) return bounds_.back();
+      const double lo = i == 0 ? 0.0 : bounds_[i - 1];
+      return lo + (bounds_[i] - lo) * (rank - static_cast<double>(below)) /
+                      static_cast<double>(in_bucket);
     }
+    below += in_bucket;
   }
   return bounds_.back();
 }

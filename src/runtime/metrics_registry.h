@@ -60,9 +60,11 @@ class Histogram {
   int64_t count() const { return count_.load(std::memory_order_relaxed); }
   double sum() const;
 
-  /// Upper bound of the bucket containing the q-quantile (0 <= q <= 1) —
-  /// a conservative estimate, exact to bucket resolution. Returns NaN when
-  /// no observations were recorded (an empty window is not "fast").
+  /// Estimated q-quantile (0 <= q <= 1), interpolated linearly inside the
+  /// bucket that holds rank q * count — Prometheus' histogram_quantile
+  /// rule: the lowest bucket starts at 0, and a rank in the +Inf bucket
+  /// reports the largest finite bound. Returns NaN when no observations
+  /// were recorded (an empty window is not "fast").
   double Quantile(double q) const;
 
   /// Finite bucket upper bounds (the +Inf bucket is implicit).

@@ -112,9 +112,9 @@ struct ServiceConfig {
   /// overhead would dominate).
   int64_t min_parallel_rows = 4096;
 
-  /// Rows per execution batch (ParallelPolicy::batch_rows): > 1 runs plans
-  /// through the vectorized engine, <= 1 forces row-at-a-time execution.
-  /// Results and re-optimization behavior are bit-identical either way.
+  /// Rows per execution batch (ParallelPolicy::batch_rows); <= 1 means
+  /// batches of one row. Results and re-optimization behavior are
+  /// bit-identical at every size.
   int64_t exec_batch_rows = 1024;
 
   /// Shared plan-cache capacity in entries; <= 0 disables plan caching.

@@ -1,8 +1,9 @@
-// Row-vs-batch differential oracle (the headline test for vectorized
+// Batch-size differential oracle (the headline test for batch
 // execution): every query of the TPC-H paper subset (plain + parameter
-// marker) and the DMV workload runs once on the row-at-a-time engine
-// (batch_rows = 1) and once per tested execution batch size, including
-// randomized sizes. The two engines must be bit-identical in:
+// marker) and the DMV workload runs once at batch size 1 — one row per
+// batch, where every batch boundary is a row boundary — and once per
+// tested execution batch size, including randomized sizes. Every size must
+// be bit-identical to batch size 1 in:
 //   - the returned row multiset,
 //   - every CHECK evaluation (edge set, flavor, site, observed count,
 //     fired or not) — i.e. batch-boundary checks decide exactly like
@@ -41,7 +42,7 @@ bool LightMode() {
   return v != nullptr && *v != '\0' && *v != '0';
 }
 
-/// Everything about one execution that must be engine-invariant.
+/// Everything about one execution that must be batch-size-invariant.
 struct Outcome {
   bool ok = false;
   std::string status;
@@ -86,20 +87,20 @@ Outcome RunOnce(const Catalog& catalog, const QuerySpec& query,
   return o;
 }
 
-void ExpectSameOutcome(const Outcome& row_engine, const Outcome& batched,
+void ExpectSameOutcome(const Outcome& reference, const Outcome& batched,
                        const std::string& label) {
-  ASSERT_EQ(row_engine.ok, batched.ok)
-      << label << ": " << row_engine.status << " vs " << batched.status;
-  if (!row_engine.ok) return;
-  EXPECT_EQ(row_engine.rows, batched.rows)
+  ASSERT_EQ(reference.ok, batched.ok)
+      << label << ": " << reference.status << " vs " << batched.status;
+  if (!reference.ok) return;
+  EXPECT_EQ(reference.rows, batched.rows)
       << label << ": result rows differ";
-  EXPECT_EQ(row_engine.reopts, batched.reopts)
+  EXPECT_EQ(reference.reopts, batched.reopts)
       << label << ": re-optimization count differs";
-  EXPECT_EQ(row_engine.attempts, batched.attempts)
+  EXPECT_EQ(reference.attempts, batched.attempts)
       << label << ": attempt count differs";
-  EXPECT_EQ(row_engine.check_events, batched.check_events)
+  EXPECT_EQ(reference.check_events, batched.check_events)
       << label << ": CHECK decisions differ";
-  EXPECT_EQ(row_engine.learned, batched.learned)
+  EXPECT_EQ(reference.learned, batched.learned)
       << label << ": harvested feedback differs";
 }
 
@@ -114,12 +115,12 @@ void SweepCorpus(const Catalog& catalog,
                  const std::vector<QuerySpec>& corpus, const char* tag) {
   Rng rng(0x51ed2705);
   for (const QuerySpec& q : corpus) {
-    const Outcome row_engine = RunOnce(catalog, q, /*batch_rows=*/1);
+    const Outcome reference = RunOnce(catalog, q, /*batch_rows=*/1);
     for (int64_t batch : BatchSizes(&rng)) {
       SCOPED_TRACE(std::string(tag) + "/" + q.name() +
                    " batch_rows=" + std::to_string(batch));
       const Outcome batched = RunOnce(catalog, q, batch);
-      ExpectSameOutcome(row_engine, batched,
+      ExpectSameOutcome(reference, batched,
                         std::string(tag) + "/" + q.name());
     }
   }
@@ -137,7 +138,7 @@ TEST(BatchDifferentialTest, TpchPaperQueriesPlainAndMarker) {
     if (LightMode()) break;
   }
   // Parameter-marker variants inject estimation errors so checks actually
-  // fire and re-optimization runs under both engines.
+  // fire and re-optimization runs at every batch size.
   tpch::QueryOptions marked;
   marked.param_markers = true;
   for (int qnum : tpch::PaperQueries()) {
@@ -173,23 +174,23 @@ TEST(BatchDifferentialTest, Q10SelectivitySweepAgreesAtEverySize) {
       LightMode() ? std::vector<int>{50} : std::vector<int>{1, 10, 50, 90};
   for (int sel : sels) {
     const QuerySpec q = tpch::MakeQ10Selectivity(sel, /*use_marker=*/true);
-    const Outcome row_engine = RunOnce(catalog, q, /*batch_rows=*/1);
+    const Outcome reference = RunOnce(catalog, q, /*batch_rows=*/1);
     for (int64_t batch : BatchSizes(&rng)) {
       SCOPED_TRACE("q10 sel=" + std::to_string(sel) +
                    " batch_rows=" + std::to_string(batch));
       const Outcome batched = RunOnce(catalog, q, batch);
-      ExpectSameOutcome(row_engine, batched, "q10");
+      ExpectSameOutcome(reference, batched, "q10");
     }
   }
 }
 
 TEST(BatchDifferentialTest, PlanCachePathAgrees) {
-  // Two worlds (row engine, batched engine), each with its own plan cache
-  // and persistent feedback store. Every query runs three times per world:
-  // the cache key digests the seeded feedback, so the first repeat misses,
-  // the second installs under the post-feedback digest, and the third is
-  // served through the cached-plan path; all repeats must match across
-  // engines.
+  // Two worlds (batch size 1, batch size 1024), each with its own plan
+  // cache and persistent feedback store. Every query runs three times per
+  // world: the cache key digests the seeded feedback, so the first repeat
+  // misses, the second installs under the post-feedback digest, and the
+  // third is served through the cached-plan path; all repeats must match
+  // across the worlds.
   Catalog catalog;
   tpch::GenConfig gen;
   gen.scale = 0.002;
@@ -203,18 +204,18 @@ TEST(BatchDifferentialTest, PlanCachePathAgrees) {
     if (LightMode()) break;
   }
 
-  PlanCache cache_row, cache_batch;
-  QueryFeedbackStore store_row, store_batch;
+  PlanCache cache_one, cache_batch;
+  QueryFeedbackStore store_one, store_batch;
   for (const QuerySpec& q : corpus) {
     for (int repeat = 0; repeat < 3; ++repeat) {
       SCOPED_TRACE("plan_cache/" + q.name() +
                    " repeat=" + std::to_string(repeat));
-      const Outcome row_engine =
-          RunOnce(catalog, q, /*batch_rows=*/1, &cache_row, &store_row);
+      const Outcome reference =
+          RunOnce(catalog, q, /*batch_rows=*/1, &cache_one, &store_one);
       const Outcome batched =
           RunOnce(catalog, q, /*batch_rows=*/1024, &cache_batch,
                   &store_batch);
-      ExpectSameOutcome(row_engine, batched, "plan_cache/" + q.name());
+      ExpectSameOutcome(reference, batched, "plan_cache/" + q.name());
     }
   }
   // The cached world actually exercised the cache.

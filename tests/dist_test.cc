@@ -97,7 +97,7 @@ class DistTest : public ::testing::Test {
   void StartCluster(int num_shards, double stall_ms = 0.0,
                     int64_t exec_batch_rows = 1024) {
     // Allow restarting with a different shard configuration mid-test
-    // (e.g. row-engine vs vectorized shards).
+    // (e.g. shards running different execution batch sizes).
     shards_.clear();
     coordinator_.reset();
     if (!built_full_) {
@@ -357,11 +357,12 @@ TEST_F(DistTest, ShardCheckViolationTriggersGlobalReoptimization) {
             testing::Canonicalize(rows.value()));
 }
 
-TEST_F(DistTest, RowAndBatchShardEnginesAgree) {
+TEST_F(DistTest, ShardBatchSizesAgree) {
   // Runs the same corpus against a cluster whose shards execute subplans
-  // row-at-a-time and one whose shards run vectorized: the rows the
-  // coordinator sees, the shard CHECK escalations, and the resulting
-  // cluster-level re-optimization sequence must be identical.
+  // at batch size 1 (one row per batch) and ones whose shards run batches
+  // of 3 and 1024: the rows the coordinator sees, the shard CHECK
+  // escalations, and the resulting cluster-level re-optimization sequence
+  // must be identical.
   const std::vector<std::string> corpus = {
       "SELECT o_id, o_subclass FROM orders WHERE o_subclass < 12",
       "SELECT o_class, COUNT(*), SUM(o_subclass), AVG(o_subclass) "
@@ -393,16 +394,16 @@ TEST_F(DistTest, RowAndBatchShardEnginesAgree) {
     }
     return outcomes;
   };
-  const std::vector<DistOutcome> row_engine = sweep(1);
+  const std::vector<DistOutcome> reference = sweep(1);
   for (const int64_t batch : {3, 1024}) {
     SCOPED_TRACE("exec_batch_rows=" + std::to_string(batch));
-    const std::vector<DistOutcome> batch_engine = sweep(batch);
-    ASSERT_EQ(row_engine.size(), batch_engine.size());
-    for (size_t i = 0; i < row_engine.size(); ++i) {
+    const std::vector<DistOutcome> batched = sweep(batch);
+    ASSERT_EQ(reference.size(), batched.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
       SCOPED_TRACE(corpus[i]);
-      EXPECT_EQ(row_engine[i].rows, batch_engine[i].rows);
-      EXPECT_EQ(row_engine[i].reopts, batch_engine[i].reopts);
-      EXPECT_EQ(row_engine[i].attempts, batch_engine[i].attempts);
+      EXPECT_EQ(reference[i].rows, batched[i].rows);
+      EXPECT_EQ(reference[i].reopts, batched[i].reopts);
+      EXPECT_EQ(reference[i].attempts, batched[i].attempts);
     }
   }
 }

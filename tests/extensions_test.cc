@@ -90,10 +90,13 @@ TEST_F(BufCheckTest, LowerBoundOnlyRangeReleasesValveEarly) {
   BufCheckOp buf(Scan(), Spec(5, kInf));
   EXPECT_EQ(ExecStatus::kOk, buf.Open(&ctx));
   // Only 5 rows were pulled during Open (the valve released at lo).
-  Row row;
+  EXPECT_EQ(5, buf.children()[0]->rows_produced());
+  RowBatch batch;
   std::vector<Row> rows;
   ExecStatus s;
-  while ((s = buf.Next(&ctx, &row)) == ExecStatus::kRow) rows.push_back(row);
+  while ((s = buf.NextBatch(&ctx, &batch)) == ExecStatus::kRow) {
+    batch.MoveRowsInto(&rows);
+  }
   EXPECT_EQ(ExecStatus::kEof, s);
   EXPECT_EQ(50u, rows.size());  // Buffer prefix + streamed remainder.
   EXPECT_FALSE(ctx.reopt.triggered);

@@ -252,13 +252,13 @@ TEST_P(FuzzTest, PlanCacheOnOffAgree) {
             stats.hits + stats.validity_hits + stats.misses());
 }
 
-/// Differential fuzz for the vectorized engine: each random query (under
+/// Differential fuzz over execution batch sizes: each random query (under
 /// a random POP configuration, so CHECK flavors, work bounds and re-opt
-/// budgets vary) runs on the row engine (batch_rows = 1) and at batch
+/// budgets vary) runs at batch size 1 (one row per batch) and at batch
 /// sizes 3 and 1024. Rows, CHECK firings by flavor, re-opt/attempt counts
 /// and absorbed feedback must be identical — batch-boundary checks decide
 /// exactly like per-row checks.
-TEST_P(FuzzTest, RowAndBatchEnginesAgree) {
+TEST_P(FuzzTest, BatchSizesAgree) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 2654435761u + 777);
   for (int round = 0; round < 4; ++round) {
     const QuerySpec q = RandomQuery(&rng);
@@ -283,10 +283,10 @@ TEST_P(FuzzTest, RowAndBatchEnginesAgree) {
       return exec.Execute(q, stats);
     };
 
-    QueryFeedbackStore store_row;
-    ExecutionStats stats_row;
-    Result<std::vector<Row>> rows_row = run(1, &store_row, &stats_row);
-    ASSERT_TRUE(rows_row.ok()) << rows_row.status().ToString();
+    QueryFeedbackStore store_one;
+    ExecutionStats stats_one;
+    Result<std::vector<Row>> rows_one = run(1, &store_one, &stats_one);
+    ASSERT_TRUE(rows_one.ok()) << rows_one.status().ToString();
 
     for (const int64_t batch_rows : {int64_t{3}, int64_t{1024}}) {
       QueryFeedbackStore store_batch;
@@ -299,17 +299,17 @@ TEST_P(FuzzTest, RowAndBatchEnginesAgree) {
           " batch_rows=" + std::to_string(batch_rows) + "\n" + q.ToString();
       ASSERT_TRUE(rows_batch.ok())
           << label << ": " << rows_batch.status().ToString();
-      EXPECT_EQ(Canonicalize(rows_row.value()),
+      EXPECT_EQ(Canonicalize(rows_one.value()),
                 Canonicalize(rows_batch.value()))
           << label;
-      EXPECT_EQ(stats_row.reopts, stats_batch.reopts) << label;
-      EXPECT_EQ(stats_row.attempts.size(), stats_batch.attempts.size())
+      EXPECT_EQ(stats_one.reopts, stats_batch.reopts) << label;
+      EXPECT_EQ(stats_one.attempts.size(), stats_batch.attempts.size())
           << label;
-      ASSERT_EQ(stats_row.check_events.size(),
+      ASSERT_EQ(stats_one.check_events.size(),
                 stats_batch.check_events.size())
           << label;
-      for (size_t i = 0; i < stats_row.check_events.size(); ++i) {
-        const CheckEvent& a = stats_row.check_events[i];
+      for (size_t i = 0; i < stats_one.check_events.size(); ++i) {
+        const CheckEvent& a = stats_one.check_events[i];
         const CheckEvent& b = stats_batch.check_events[i];
         EXPECT_EQ(a.edge_set, b.edge_set) << label << " event " << i;
         EXPECT_EQ(a.flavor, b.flavor) << label << " event " << i;
@@ -318,7 +318,7 @@ TEST_P(FuzzTest, RowAndBatchEnginesAgree) {
         EXPECT_EQ(a.fired, b.fired) << label << " event " << i;
       }
       // Absorbed feedback: identical signatures and cardinalities.
-      const auto dump_row = store_row.Dump();
+      const auto dump_row = store_one.Dump();
       const auto dump_batch = store_batch.Dump();
       ASSERT_EQ(dump_row.size(), dump_batch.size()) << label;
       for (const auto& [sig, fb] : dump_row) {

@@ -337,11 +337,35 @@ TEST(MetricsRegistryTest, HistogramQuantilesAndEmptyWindow) {
   for (int i = 0; i < 90; ++i) h.Observe(1.5);  // -> le="2" bucket.
   for (int i = 0; i < 10; ++i) h.Observe(30.0);  // -> le="32" bucket.
   EXPECT_EQ(100, h.count());
-  EXPECT_DOUBLE_EQ(2.0, h.Quantile(0.5));
-  EXPECT_DOUBLE_EQ(32.0, h.Quantile(0.95));
+  // Interpolated inside the bucket: rank 50 of the 90 in (1, 2], rank 5
+  // of the 10 in (16, 32].
+  EXPECT_DOUBLE_EQ(1.0 + 50.0 / 90.0, h.Quantile(0.5));
+  EXPECT_DOUBLE_EQ(24.0, h.Quantile(0.95));
   // Beyond the last finite bound the largest finite boundary is reported.
   h.Observe(1e9);
   EXPECT_DOUBLE_EQ(32.0, h.Quantile(1.0));
+}
+
+TEST(MetricsRegistryTest, HistogramQuantilesInterpolateInsideOneBucket) {
+  // Golden values for the Prometheus histogram_quantile rule when every
+  // observation lands in one bucket: the quantile walks linearly from the
+  // bucket's lower bound to its upper bound.
+  MetricsRegistry reg;
+  Histogram& h = *reg.GetHistogram(
+      "one_bucket", "h", Histogram::LogBuckets(1.0, 2.0, 6));  // 1,2,...,32.
+  for (int i = 0; i < 10; ++i) h.Observe(3.0);  // -> (2, 4] bucket.
+  EXPECT_DOUBLE_EQ(2.0, h.Quantile(0.0));
+  EXPECT_DOUBLE_EQ(2.2, h.Quantile(0.1));
+  EXPECT_DOUBLE_EQ(3.0, h.Quantile(0.5));
+  EXPECT_DOUBLE_EQ(3.9, h.Quantile(0.95));
+  EXPECT_DOUBLE_EQ(4.0, h.Quantile(1.0));
+
+  // The lowest bucket starts at 0.
+  Histogram& low = *reg.GetHistogram(
+      "lowest_bucket", "h", Histogram::LogBuckets(1.0, 2.0, 6));
+  for (int i = 0; i < 4; ++i) low.Observe(0.25);  // -> (0, 1] bucket.
+  EXPECT_DOUBLE_EQ(0.5, low.Quantile(0.5));
+  EXPECT_DOUBLE_EQ(1.0, low.Quantile(1.0));
 }
 
 TEST(MetricsRegistryTest, SameNameSameLabelsReturnsSameInstance) {

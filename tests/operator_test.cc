@@ -16,15 +16,27 @@
 namespace popdb {
 namespace {
 
-/// Drains `op` into a row vector; EXPECTs clean EOF.
-std::vector<Row> Drain(Operator* op, ExecContext* ctx) {
+/// Opens `op`, pulls batches of ctx->batch_rows until a terminal status,
+/// which it records in *final_status, and closes `op`.
+std::vector<Row> DrainBatches(Operator* op, ExecContext* ctx,
+                              ExecStatus* final_status) {
   std::vector<Row> out;
   EXPECT_EQ(ExecStatus::kOk, op->Open(ctx));
-  Row row;
+  RowBatch batch;
   ExecStatus s;
-  while ((s = op->Next(ctx, &row)) == ExecStatus::kRow) out.push_back(row);
-  EXPECT_EQ(ExecStatus::kEof, s);
+  while ((s = op->NextBatch(ctx, &batch)) == ExecStatus::kRow) {
+    batch.MoveRowsInto(&out);
+  }
+  *final_status = s;
   op->Close(ctx);
+  return out;
+}
+
+/// Drains `op` into a row vector; EXPECTs clean EOF.
+std::vector<Row> Drain(Operator* op, ExecContext* ctx) {
+  ExecStatus s;
+  std::vector<Row> out = DrainBatches(op, ctx, &s);
+  EXPECT_EQ(ExecStatus::kEof, s);
   return out;
 }
 
@@ -432,13 +444,10 @@ TEST_F(OperatorTest, CheckPassesWithinRange) {
 TEST_F(OperatorTest, CheckFiresAboveUpperBoundWithLowerBoundSignal) {
   ExecContext ctx;
   CheckOp check(ScanLeft(), MakeCheck(0, 9.5));
-  EXPECT_EQ(ExecStatus::kOk, check.Open(&ctx));
-  Row row;
-  ExecStatus s = ExecStatus::kOk;
-  int produced = 0;
-  while ((s = check.Next(&ctx, &row)) == ExecStatus::kRow) ++produced;
+  ExecStatus s;
+  const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
   EXPECT_EQ(ExecStatus::kReoptimize, s);
-  EXPECT_EQ(9, produced);  // Fired while processing the 10th row.
+  EXPECT_EQ(9u, rows.size());  // Fired while processing the 10th row.
   EXPECT_TRUE(ctx.reopt.triggered);
   EXPECT_FALSE(ctx.reopt.exact);  // Count is only a lower bound.
   EXPECT_EQ(10, ctx.reopt.observed_rows);
@@ -447,13 +456,10 @@ TEST_F(OperatorTest, CheckFiresAboveUpperBoundWithLowerBoundSignal) {
 TEST_F(OperatorTest, CheckFiresBelowLowerBoundAtEofExactly) {
   ExecContext ctx;
   CheckOp check(ScanLeft(), MakeCheck(50, 1e9));
-  EXPECT_EQ(ExecStatus::kOk, check.Open(&ctx));
-  Row row;
-  ExecStatus s = ExecStatus::kOk;
-  int produced = 0;
-  while ((s = check.Next(&ctx, &row)) == ExecStatus::kRow) ++produced;
+  ExecStatus s;
+  const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
   EXPECT_EQ(ExecStatus::kReoptimize, s);
-  EXPECT_EQ(40, produced);  // Everything flowed; violation found at EOF.
+  EXPECT_EQ(40u, rows.size());  // Everything flowed; violation at EOF.
   EXPECT_TRUE(ctx.reopt.exact);
   EXPECT_EQ(40, ctx.reopt.observed_rows);
 }
@@ -487,39 +493,18 @@ TEST_F(OperatorTest, CheckMaterializedPassesAndStreams) {
 
 // ----------------------------------------- CHECK at batch boundaries.
 
-/// Drains `op` through NextBatch with the given execution batch size;
-/// records the terminal status in *final_status.
-std::vector<Row> DrainBatches(Operator* op, ExecContext* ctx,
-                              ExecStatus* final_status) {
-  std::vector<Row> out;
-  EXPECT_EQ(ExecStatus::kOk, op->Open(ctx));
-  RowBatch batch;
-  ExecStatus s;
-  while ((s = op->NextBatch(ctx, &batch)) == ExecStatus::kRow) {
-    batch.MoveRowsInto(&out);
-  }
-  *final_status = s;
-  op->Close(ctx);
-  return out;
-}
-
 TEST_F(OperatorTest, CheckBatchMidBatchViolationFiresOnceAtBoundary) {
-  // Row engine reference: hi = 9.5 over a 40-row scan emits 9 rows, then
-  // fires while processing the 10th (observed_rows = 10, inexact). The
-  // batched engine must do exactly the same even when the threshold row
-  // sits mid-batch, and it must evaluate once per batch, not per row.
+  // Batch size 1 reference: hi = 9.5 over a 40-row scan emits 9 rows, then
+  // fires while processing the 10th (observed_rows = 10, inexact). Larger
+  // batches must do exactly the same even when the threshold row sits
+  // mid-batch, and evaluate once per batch, not per row.
   ExecContext row_ctx;
   std::vector<Row> row_rows;
   {
     CheckOp check(ScanLeft(), MakeCheck(0, 9.5));
-    EXPECT_EQ(ExecStatus::kOk, check.Open(&row_ctx));
-    Row row;
     ExecStatus s;
-    while ((s = check.Next(&row_ctx, &row)) == ExecStatus::kRow) {
-      row_rows.push_back(row);
-    }
+    row_rows = DrainBatches(&check, &row_ctx, &s);
     EXPECT_EQ(ExecStatus::kReoptimize, s);
-    check.Close(&row_ctx);
   }
 
   for (const int64_t batch_rows : {2, 3, 8, 1024}) {
@@ -537,7 +522,7 @@ TEST_F(OperatorTest, CheckBatchMidBatchViolationFiresOnceAtBoundary) {
     EXPECT_TRUE(ctx.reopt.triggered);
     EXPECT_FALSE(ctx.reopt.exact);
     EXPECT_EQ(row_ctx.reopt.observed_rows, ctx.reopt.observed_rows);
-    // Fired exactly once, with the row engine's observed count.
+    // Fired exactly once, with batch size 1's observed count.
     ASSERT_EQ(1u, ctx.check_events.size());
     EXPECT_TRUE(ctx.check_events[0].fired);
     EXPECT_EQ(row_ctx.check_events[0].count, ctx.check_events[0].count);
@@ -558,7 +543,7 @@ TEST_F(OperatorTest, CheckBatchObserveOnlyRecordsRowExactCount) {
   EXPECT_FALSE(ctx.reopt.triggered);
   ASSERT_EQ(1u, ctx.check_events.size());
   EXPECT_TRUE(ctx.check_events[0].fired);
-  EXPECT_EQ(10, ctx.check_events[0].count);  // Row-engine count at the fire.
+  EXPECT_EQ(10, ctx.check_events[0].count);  // Row-exact count at the fire.
 }
 
 TEST_F(OperatorTest, CheckBatchLowerBoundFiresAtEofExactly) {
@@ -591,7 +576,7 @@ TEST_F(OperatorTest, BufCheckBatchDrainFiresWithRowExactCount) {
 
 TEST_F(OperatorTest, BufCheckBatchValvePassesAndServesBatches) {
   // [lo, inf) succeeds mid-stream; the batched consumer must see all rows
-  // (buffered prefix then pass-through) exactly like the row engine.
+  // (buffered prefix then pass-through) exactly like batch size 1.
   ExecContext ctx;
   ctx.batch_rows = 8;
   constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -618,9 +603,9 @@ TEST_F(OperatorTest, CheckMaterializedStreamsBatchesAfterOpenEvaluation) {
   EXPECT_FALSE(ctx.reopt.triggered);
 }
 
-TEST_F(OperatorTest, BatchWorkChargesMatchRowEngine) {
+TEST_F(OperatorTest, BatchWorkChargesMatchBatchSizeOne) {
   // ctx.work parity is what keeps WORKBOUND decisions and check-event
-  // work columns engine-invariant; spot-check it on a scan drain.
+  // work columns batch-size-invariant; spot-check it on a scan drain.
   ExecContext row_ctx;
   {
     auto scan = ScanLeft();
@@ -634,6 +619,125 @@ TEST_F(OperatorTest, BatchWorkChargesMatchRowEngine) {
   EXPECT_EQ(ExecStatus::kEof, s);
   EXPECT_EQ(40u, rows.size());
   EXPECT_EQ(row_ctx.work, batch_ctx.work);
+}
+
+TEST_F(OperatorTest, CheckAboveJoinsMatchesBatchSizeOne) {
+  // An enforced CHECK clamps its child to the rows left before the
+  // violation, but a join reads its outer (probe) side in batches of that
+  // size, and the in-memory HSJN probe also emits every match of each
+  // probe row it pulls, past the clamp. Every left row with key < 5
+  // matches 5 right rows (keys 5..9 match none). hi = 11.5 fires on the
+  // 12th output row, the second match of the third matching outer row: the
+  // CHECK emits 11 rows, and the join and its outer scan must account for
+  // exactly the 12 output rows and 3 outer rows batch size 1 consumed.
+  ResolvedPredicate matching{0, PredKind::kLt, Value::Int(5), {}, {}};
+  for (const bool hash_join : {true, false}) {
+    for (const bool all_outer_rows_match : {true, false}) {
+      std::vector<Row> reference;
+      for (const int64_t batch_rows : {1, 2, 3, 1024}) {
+        SCOPED_TRACE(std::string(hash_join ? "HSJN" : "NLJN") +
+                     " all_outer_rows_match=" +
+                     std::to_string(all_outer_rows_match) +
+                     " batch_rows=" + std::to_string(batch_rows));
+        ExecContext ctx;
+        ctx.batch_rows = batch_rows;
+        auto outer = all_outer_rows_match ? ScanLeft({matching}) : ScanLeft();
+        const Operator* outer_scan = outer.get();
+        std::unique_ptr<Operator> join;
+        if (hash_join) {
+          join = std::make_unique<HsjnOp>(
+              std::move(outer), ScanRight(), std::vector<int>{0},
+              std::vector<int>{0}, JoinMerge(), TableBit(0) | TableBit(1),
+              CheckSpec{}, false);
+        } else {
+          InnerAccess inner;
+          inner.table = &right_;
+          inner.table_id = 1;
+          inner.join_conds = {{0, 0}};
+          join = std::make_unique<NljnOp>(std::move(outer), std::move(inner),
+                                          JoinMerge(),
+                                          TableBit(0) | TableBit(1));
+        }
+        const Operator* join_op = join.get();
+        CheckOp check(std::move(join), MakeCheck(0, 11.5));
+        ExecStatus s;
+        const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
+        EXPECT_EQ(ExecStatus::kReoptimize, s);
+        if (batch_rows == 1) reference = rows;
+        EXPECT_EQ(11u, rows.size());
+        EXPECT_EQ(reference, rows);  // Same emitted prefix, in order.
+        EXPECT_EQ(12, ctx.reopt.observed_rows);
+        EXPECT_FALSE(ctx.reopt.exact);
+        EXPECT_EQ(12, join_op->rows_produced());
+        EXPECT_EQ(3, outer_scan->rows_produced());
+        EXPECT_EQ(11, check.rows_produced());
+      }
+    }
+  }
+}
+
+TEST_F(OperatorTest, BufCheckValveAboveHsjnReleasesAtLowerBound) {
+  // A [lo, inf) valve clamps its child to the rows left before lo, but the
+  // in-memory HSJN probe emits all 5 matches of every probe row it pulls.
+  // The checkpoint event must still record the count at the release row,
+  // as at batch size 1, and every joined row must come through.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const int64_t batch_rows : {1, 2, 3, 1024}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    ExecContext ctx;
+    ctx.batch_rows = batch_rows;
+    BufCheckOp check(std::make_unique<HsjnOp>(
+                         ScanLeft(), ScanRight(), std::vector<int>{0},
+                         std::vector<int>{0}, JoinMerge(),
+                         TableBit(0) | TableBit(1), CheckSpec{}, false),
+                     MakeCheck(7, kInf));
+    ExecStatus s;
+    const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
+    EXPECT_EQ(ExecStatus::kEof, s);
+    EXPECT_EQ(ReferenceJoin(), rows);
+    ASSERT_EQ(1u, ctx.check_events.size());
+    EXPECT_FALSE(ctx.check_events[0].fired);
+    EXPECT_EQ(7, ctx.check_events[0].count);  // Released at the lo-th row.
+  }
+}
+
+TEST_F(OperatorTest, MgjnPullsSortedInputsRowByRow) {
+  // MGJN reads both sorted inputs one row at a time whatever the batch
+  // size, so a CHECK firing above it sees the same rows, the same work and
+  // the same input consumption as at batch size 1.
+  std::vector<Row> reference;
+  int64_t reference_work = -1;
+  for (const int64_t batch_rows : {1, 3, 1024}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    ExecContext ctx;
+    ctx.batch_rows = batch_rows;
+    auto lsort = std::make_unique<SortOp>(
+        ScanLeft(), std::vector<SortKey>{{0, false}}, TableBit(0));
+    auto rsort = std::make_unique<SortOp>(
+        ScanRight(), std::vector<SortKey>{{0, false}}, TableBit(1));
+    const Operator* left = lsort.get();
+    const Operator* right = rsort.get();
+    CheckOp check(std::make_unique<MgjnOp>(std::move(lsort), std::move(rsort),
+                                           std::vector<int>{0},
+                                           std::vector<int>{0}, JoinMerge(),
+                                           TableBit(0) | TableBit(1)),
+                  MakeCheck(0, 11.5));
+    ExecStatus s;
+    const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
+    EXPECT_EQ(ExecStatus::kReoptimize, s);
+    if (batch_rows == 1) {
+      reference = rows;
+      reference_work = ctx.work;
+    }
+    EXPECT_EQ(11u, rows.size());
+    EXPECT_EQ(reference, rows);
+    EXPECT_EQ(reference_work, ctx.work);
+    // Key 0 has 4 left and 5 right rows; the 12th match is the third left
+    // row's second. MGJN has read 3 left rows and the 5-row right group
+    // plus the first right row of key 1.
+    EXPECT_EQ(3, left->rows_produced());
+    EXPECT_EQ(6, right->rows_produced());
+  }
 }
 
 // ------------------------------------------------- RidTrack/AntiCompensate.

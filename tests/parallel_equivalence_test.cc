@@ -6,10 +6,11 @@
 // times are deliberately NOT compared (they are mode-dependent only in
 // where the work happens, which the morsel_test covers at unit level).
 //
-// The serial baseline runs on the *row* engine (batch_rows = 1) while the
-// parallel legs alternate row and vectorized execution, so this suite is
-// simultaneously the morsel-parallel and the row-vs-batch equivalence
-// oracle (batch_differential_test covers serial batch-size sweeps).
+// The serial baseline runs at batch size 1 (one row per batch) while the
+// parallel legs alternate batch size 1 and a randomized larger size, so
+// this suite is simultaneously the morsel-parallel and the batch-size
+// equivalence oracle (batch_differential_test covers serial batch-size
+// sweeps).
 //
 // Set POPDB_EQUIV_LIGHT=1 to run a reduced corpus (used by the TSan CI
 // stage, where the full sweep is too slow).
@@ -60,7 +61,7 @@ Outcome RunOnce(const Catalog& catalog, const QuerySpec& query,
   QueryFeedbackStore store;
   exec.set_cross_query_store(&store);
   // Always install the policy: a null runner keeps execution serial but
-  // policy.batch_rows still selects the row vs vectorized engine.
+  // policy.batch_rows still sets the execution batch size.
   exec.set_parallel(runner, policy);
   ExecutionStats stats;
   Result<std::vector<Row>> rows = exec.Execute(query, &stats);
@@ -98,16 +99,16 @@ void ExpectSameOutcome(const Outcome& serial, const Outcome& parallel,
       << label << ": harvested feedback differs";
 }
 
-/// Row-engine serial execution: the ground truth for every sweep.
-Outcome RunRowSerial(const Catalog& catalog, const QuerySpec& q) {
-  ParallelPolicy row;
-  row.batch_rows = 1;
-  return RunOnce(catalog, q, nullptr, row);
+/// Serial execution at batch size 1: the ground truth for every sweep.
+Outcome RunSerialBatchOne(const Catalog& catalog, const QuerySpec& q) {
+  ParallelPolicy one;
+  one.batch_rows = 1;
+  return RunOnce(catalog, q, nullptr, one);
 }
 
-/// Runs every query serially on the row engine and at each dop with a
+/// Runs every query serially at batch size 1 and at each dop with a
 /// per-(query, dop) randomized morsel size from a deterministic RNG,
-/// alternating row-mode and vectorized parallel legs.
+/// alternating parallel legs at batch size 1 and a larger size.
 void SweepCorpus(const Catalog& catalog,
                  const std::vector<QuerySpec>& corpus, const char* tag) {
   const std::vector<int> dops =
@@ -115,14 +116,14 @@ void SweepCorpus(const Catalog& catalog,
   MorselDispatcher pool(/*helper_threads=*/3);
   Rng rng(0x9e3779b9);
   for (const QuerySpec& q : corpus) {
-    const Outcome serial = RunRowSerial(catalog, q);
+    const Outcome serial = RunSerialBatchOne(catalog, q);
     for (int dop : dops) {
       ParallelPolicy policy;
       policy.dop = dop;
       policy.morsel_rows = rng.UniformInt(16, 400);
       policy.min_parallel_rows = 1;
-      // Row-mode leg, then a vectorized leg with a randomized execution
-      // batch size so CHECK thresholds land mid-batch.
+      // A leg at batch size 1, then one with a randomized execution batch
+      // size so CHECK thresholds land mid-batch.
       for (const int64_t batch : {int64_t{1}, rng.UniformInt(2, 2048)}) {
         policy.batch_rows = batch;
         SCOPED_TRACE(std::string(tag) + "/" + q.name() + " dop=" +
@@ -185,13 +186,14 @@ TEST(ParallelEquivalenceTest, Q10SelectivityRegressionPinsReoptCounts) {
       LightMode() ? std::vector<int>{50} : std::vector<int>{1, 10, 50, 90};
   for (int sel : sels) {
     const QuerySpec q = tpch::MakeQ10Selectivity(sel, /*use_marker=*/true);
-    const Outcome serial = RunRowSerial(catalog, q);
+    const Outcome serial = RunSerialBatchOne(catalog, q);
     ParallelPolicy policy;
     policy.dop = 4;
     policy.morsel_rows = 64;
     policy.min_parallel_rows = 1;
-    // The parallel leg keeps the default (vectorized) batch size, so this
-    // regression pins re-opt counts across row-serial vs batch-parallel.
+    // The parallel leg keeps the default batch size (1024), so this
+    // regression pins re-opt counts across serial batch size 1 vs
+    // parallel batches.
     SCOPED_TRACE("q10 sel=" + std::to_string(sel));
     const Outcome parallel = RunOnce(catalog, q, &pool, policy);
     ExpectSameOutcome(serial, parallel, "q10");

@@ -290,14 +290,14 @@ TEST_P(ValidityPropertyTest, RangesContainTheEstimate) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ValidityPropertyTest,
                          ::testing::Range(0, 45));
 
-// ----------------------- validity ranges under vectorized execution.
+// ----------------------- validity ranges under batch execution.
 
-TEST(ValidityBatchTest, RowAndBatchEnginesAgreeOnValidityRangeOutcomes) {
+TEST(ValidityBatchTest, BatchSizesAgreeOnValidityRangeOutcomes) {
   // The CHECK ranges this analyzer derives are evaluated at batch
-  // boundaries on the vectorized engine; an in/out-of-range decision must
-  // be identical to the row engine — same observed cardinality at the
-  // fire, same fired flag, same replanning sequence — at every batch
-  // size, including sizes that put the range boundary mid-batch.
+  // boundaries; an in/out-of-range decision must be identical to batch
+  // size 1 (one row per batch) — same observed cardinality at the fire,
+  // same fired flag, same replanning sequence — at every batch size,
+  // including sizes that put the range boundary mid-batch.
   Catalog catalog;
   tpch::GenConfig gen;
   gen.scale = 0.002;
@@ -312,9 +312,9 @@ TEST(ValidityBatchTest, RowAndBatchEnginesAgreeOnValidityRangeOutcomes) {
       exec.set_parallel(nullptr, policy);
       return exec.Execute(q, stats);
     };
-    ExecutionStats row_stats;
-    Result<std::vector<Row>> row_rows = run(1, &row_stats);
-    ASSERT_TRUE(row_rows.ok()) << row_rows.status().ToString();
+    ExecutionStats one_stats;
+    Result<std::vector<Row>> one_rows = run(1, &one_stats);
+    ASSERT_TRUE(one_rows.ok()) << one_rows.status().ToString();
     for (const int64_t batch : {3, 64, 1024}) {
       SCOPED_TRACE("sel=" + std::to_string(sel) +
                    " batch_rows=" + std::to_string(batch));
@@ -322,23 +322,23 @@ TEST(ValidityBatchTest, RowAndBatchEnginesAgreeOnValidityRangeOutcomes) {
       Result<std::vector<Row>> batch_rows_res = run(batch, &batch_stats);
       ASSERT_TRUE(batch_rows_res.ok())
           << batch_rows_res.status().ToString();
-      EXPECT_EQ(row_stats.reopts, batch_stats.reopts);
-      ASSERT_EQ(row_stats.attempts.size(), batch_stats.attempts.size());
-      for (size_t i = 0; i < row_stats.attempts.size(); ++i) {
-        EXPECT_EQ(row_stats.attempts[i].reoptimized,
+      EXPECT_EQ(one_stats.reopts, batch_stats.reopts);
+      ASSERT_EQ(one_stats.attempts.size(), batch_stats.attempts.size());
+      for (size_t i = 0; i < one_stats.attempts.size(); ++i) {
+        EXPECT_EQ(one_stats.attempts[i].reoptimized,
                   batch_stats.attempts[i].reoptimized)
             << "attempt " << i;
-        EXPECT_EQ(row_stats.attempts[i].plan_text,
+        EXPECT_EQ(one_stats.attempts[i].plan_text,
                   batch_stats.attempts[i].plan_text)
             << "attempt " << i;
       }
-      ASSERT_EQ(row_stats.check_events.size(),
+      ASSERT_EQ(one_stats.check_events.size(),
                 batch_stats.check_events.size());
-      for (size_t i = 0; i < row_stats.check_events.size(); ++i) {
-        EXPECT_EQ(row_stats.check_events[i].count,
+      for (size_t i = 0; i < one_stats.check_events.size(); ++i) {
+        EXPECT_EQ(one_stats.check_events[i].count,
                   batch_stats.check_events[i].count)
             << "event " << i;
-        EXPECT_EQ(row_stats.check_events[i].fired,
+        EXPECT_EQ(one_stats.check_events[i].fired,
                   batch_stats.check_events[i].fired)
             << "event " << i;
       }
