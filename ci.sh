@@ -12,7 +12,9 @@
 # UBSan build over the tracing/metrics/runtime/parallel/network/write
 # suites, then an ASan build over the suites that move per-query records
 # (QueryTrace, the query log, the trace store) between threads and across
-# the wire, and over the executor, plan-cache and write-path suites.
+# the wire, and over the executor, plan-cache, plan-reuse oracle
+# (plan-cache equivalence, incremental re-optimization, enumerator) and
+# write-path suites.
 #
 # The release ctest runs everything including tests labeled "slow"
 # (parallel_stress_test); use `ctest -L fast` locally for the quick loop.
@@ -247,7 +249,8 @@ else
   cmake --build build-asan -j "$(nproc)" \
         --target observability_test runtime_test net_test dist_test \
         operator_test extensions_test morsel_test batch_differential_test \
-        parallel_equivalence_test plan_cache_test txn_test
+        parallel_equivalence_test plan_cache_test txn_test \
+        plan_cache_equivalence_test reopt_differential_test enumerator_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/observability_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/runtime_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/net_test
@@ -262,6 +265,14 @@ else
   ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
       ./build-asan/tests/parallel_equivalence_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/plan_cache_test
+  # Plans shared between the cache, its clones and the DP memo are
+  # shared_ptr trees; the plan-reuse oracles and the enumerator's memo
+  # tests walk every path that hands them out.
+  ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
+      ./build-asan/tests/plan_cache_equivalence_test
+  ASAN_OPTIONS="halt_on_error=1" POPDB_EQUIV_LIGHT=1 \
+      ./build-asan/tests/reopt_differential_test
+  ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/enumerator_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/txn_test
 fi
 

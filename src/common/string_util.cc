@@ -75,4 +75,13 @@ bool Contains(std::string_view text, std::string_view piece) {
   return text.find(piece) != std::string_view::npos;
 }
 
+uint64_t Fnv1a64(std::string_view bytes) {
+  uint64_t h = 1469598103934665603ull;  // FNV offset basis.
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 }  // namespace popdb

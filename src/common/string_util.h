@@ -1,6 +1,7 @@
 #ifndef POPDB_COMMON_STRING_UTIL_H_
 #define POPDB_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -23,6 +24,9 @@ bool LikeMatch(std::string_view text, std::string_view pattern);
 bool StartsWith(std::string_view text, std::string_view piece);
 bool EndsWith(std::string_view text, std::string_view piece);
 bool Contains(std::string_view text, std::string_view piece);
+
+/// 64-bit FNV-1a hash of `bytes`.
+uint64_t Fnv1a64(std::string_view bytes);
 
 }  // namespace popdb
 

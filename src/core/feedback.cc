@@ -8,10 +8,7 @@ namespace popdb {
 
 void FeedbackCache::RecordExact(TableSet set, double card) {
   std::lock_guard<std::mutex> lock(mu_);
-  CardFeedback& fb = map_[set];
-  if (fb.exact == card) return;  // No estimate moved; epoch unchanged.
-  fb.exact = card;
-  ++epoch_;
+  map_[set].exact = card;
 }
 
 void FeedbackCache::RecordLowerBound(TableSet set, double card) {
@@ -20,17 +17,11 @@ void FeedbackCache::RecordLowerBound(TableSet set, double card) {
   if (fb.exact >= 0) return;  // Exact knowledge dominates.
   if (card <= fb.lower_bound) return;
   fb.lower_bound = card;
-  ++epoch_;
 }
 
 FeedbackMap FeedbackCache::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return map_;
-}
-
-int64_t FeedbackCache::epoch() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return epoch_;
 }
 
 bool FeedbackCache::empty() const {
@@ -40,7 +31,6 @@ bool FeedbackCache::empty() const {
 
 void FeedbackCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  if (!map_.empty()) ++epoch_;
   map_.clear();
 }
 

@@ -32,12 +32,6 @@ class FeedbackCache {
   /// Consistent point-in-time copy of the accumulated feedback.
   FeedbackMap Snapshot() const;
 
-  /// Monotone change counter: bumped by every mutation (Record*/Clear)
-  /// that can move a cardinality estimate. Consumers (e.g. the plan
-  /// cache's staleness accounting) compare epochs instead of snapshots to
-  /// detect that feedback moved.
-  int64_t epoch() const;
-
   bool empty() const;
   void Clear();
 
@@ -46,7 +40,6 @@ class FeedbackCache {
  private:
   mutable std::mutex mu_;
   FeedbackMap map_;
-  int64_t epoch_ = 0;
 };
 
 }  // namespace popdb

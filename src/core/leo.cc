@@ -71,24 +71,16 @@ std::string QueryFeedbackStore::SubplanSignature(const QuerySpec& query,
 void QueryFeedbackStore::Absorb(const QuerySpec& query,
                                 const FeedbackMap& feedback) {
   std::lock_guard<std::mutex> lock(mu_);
-  bool changed = false;
   for (const auto& [set, fb] : feedback) {
     const std::string sig = SubplanSignature(query, set);
     CardFeedback& stored = store_[sig];
     if (fb.exact >= 0) {
-      if (stored.exact != fb.exact) {
-        stored.exact = fb.exact;
-        changed = true;
-      }
+      stored.exact = fb.exact;
     } else if (fb.lower_bound >= 0 && stored.exact < 0 &&
                fb.lower_bound > stored.lower_bound) {
       stored.lower_bound = fb.lower_bound;
-      changed = true;
     }
   }
-  // Re-absorbing identical actuals (the repeat-query steady state) leaves
-  // the epoch alone so cached plans stay servable.
-  if (changed) ++epoch_;
 }
 
 void QueryFeedbackStore::Seed(const QuerySpec& query,

@@ -38,38 +38,11 @@ class QueryFeedbackStore {
   /// literals) and the join predicates inside `set`, all order-normalized.
   static std::string SubplanSignature(const QuerySpec& query, TableSet set);
 
-  /// Learns every entry of `feedback` under the query's signatures. Bumps
-  /// the feedback epoch when any learned cardinality actually changed.
+  /// Learns every entry of `feedback` under the query's signatures.
   void Absorb(const QuerySpec& query, const FeedbackMap& feedback);
 
   /// Pre-seeds `out` with everything known about the query's subplans.
   void Seed(const QuerySpec& query, FeedbackCache* out) const;
-
-  /// Feedback epoch: total count of estimate-affecting changes — harvested
-  /// feedback that moved a learned cardinality, plus every out-of-band
-  /// BumpEpoch(). Monotone; plan-cache entries installed at an older epoch
-  /// are suspect.
-  int64_t epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return epoch_ + external_epoch_;
-  }
-
-  /// Out-of-band slice of the epoch: stats refreshes, matview or index
-  /// create/drop — world changes that alter cardinality estimates without
-  /// flowing through Absorb(). The plan cache treats any change here as a
-  /// hard invalidation (content changes are covered by feedback digests).
-  int64_t external_epoch() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return external_epoch_;
-  }
-
-  /// Signals an out-of-band estimate change (RUNSTATS ran, a matview was
-  /// created or dropped, data was bulk-loaded): bypasses every cached plan
-  /// installed before the bump.
-  void BumpEpoch() {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++external_epoch_;
-  }
 
   int64_t size() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -77,7 +50,6 @@ class QueryFeedbackStore {
   }
   void Clear() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!store_.empty()) ++epoch_;
     store_.clear();
   }
 
@@ -109,8 +81,6 @@ class QueryFeedbackStore {
  private:
   mutable std::mutex mu_;
   std::map<std::string, CardFeedback> store_;
-  int64_t epoch_ = 0;           ///< Content-changing Absorb()/Clear() count.
-  int64_t external_epoch_ = 0;  ///< BumpEpoch() count.
   mutable int64_t seed_lookups_ = 0;
   mutable int64_t seed_hits_ = 0;
   mutable int64_t seeded_cards_ = 0;

@@ -6,7 +6,6 @@ namespace popdb {
 
 void MatViewRegistry::Register(TableSet set, std::vector<Row> rows,
                                std::vector<int> sorted_positions) {
-  ++epoch_;
   for (auto& stored : stored_) {
     if (stored->set == set) {
       stored->rows = std::move(rows);
@@ -48,7 +47,6 @@ int64_t MatViewRegistry::total_rows() const {
 }
 
 void MatViewRegistry::Clear() {
-  if (!stored_.empty()) ++epoch_;
   stored_.clear();
   views_.clear();
 }

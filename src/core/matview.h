@@ -38,11 +38,6 @@ class MatViewRegistry {
   bool empty() const { return views_.empty(); }
   int64_t total_rows() const;
 
-  /// Monotone change counter bumped by every create (Register) and drop
-  /// (Clear of a non-empty registry): any bump means the set of reusable
-  /// materialized results — and with it the optimizer's choices — changed.
-  int64_t epoch() const { return epoch_; }
-
   /// Drops all temporary views (end-of-query cleanup).
   void Clear();
 
@@ -58,7 +53,6 @@ class MatViewRegistry {
 
   std::vector<std::unique_ptr<Stored>> stored_;
   std::vector<AvailableMatView> views_;
-  int64_t epoch_ = 0;
 };
 
 }  // namespace popdb

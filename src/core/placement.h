@@ -7,6 +7,7 @@
 #include "core/validity.h"
 #include "opt/cost_model.h"
 #include "opt/plan.h"
+#include "opt/plan_cache.h"
 
 namespace popdb {
 
@@ -44,13 +45,14 @@ struct PopConfig {
   /// to guarantee termination (Section 7 "Ensuring Termination").
   int max_reopts = 3;
 
-  /// Keep the DP memo alive across re-optimization attempts: a CHECK
-  /// violation only invalidates memo entries whose table set contains the
-  /// changed edge; everything else is reused, and plan-cache near misses
-  /// warm-start the memo from the cached skeleton. Produces bit-identical
-  /// plans to from-scratch enumeration (the reopt differential suite
-  /// enforces this), which is why the knob is deliberately NOT part of the
-  /// plan-cache key.
+  /// Keep the DP memo alive across one query's re-optimization attempts: a
+  /// CHECK violation only invalidates memo entries whose table set
+  /// contains the changed edge; everything else is reused. The memo starts
+  /// empty for every query (a plan-cache hit does not seed it). Produces
+  /// bit-identical plans to from-scratch enumeration, and `false` is the
+  /// from-scratch reference of the plan-identity oracle
+  /// (reopt_differential_test), which is why the knob is deliberately NOT
+  /// part of the plan-cache key.
   bool incremental_reopt = true;
 
   /// Reuse completed TEMP/SORT materializations as temp MVs.
@@ -77,17 +79,9 @@ struct PopConfig {
   ValidityConfig validity;
 };
 
-/// Count of checkpoints inserted per flavor.
-struct PlacementStats {
-  int lc = 0;
-  int lcem = 0;
-  int ecb = 0;
-  int ecwc = 0;
-  int ecdc = 0;
-  int work_bound = 0;
-
-  int total() const { return lc + lcem + ecb + ecwc + ecdc; }
-};
+/// Count of checkpoints inserted per flavor (the plan cache stores the
+/// same counts with a placed plan).
+using PlacementStats = PlacedCheckCounts;
 
 /// Post-optimization pass inserting CHECK operators into a (deep-cloned,
 /// mutable) plan per the paper's placement policy (Section 4):

@@ -15,16 +15,6 @@ Status CancelledStatus(const CancelToken& token, const std::string& name) {
   }
   return Status::Cancelled("query '" + name + "' was cancelled");
 }
-
-/// 64-bit FNV-1a over a byte string (config fingerprinting).
-uint64_t FnvHash(const std::string& bytes) {
-  uint64_t h = 1469598103934665603ull;
-  for (const char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 }  // namespace
 
 double NowMs() {
@@ -72,7 +62,7 @@ std::string ProgressiveExecutor::PlanCacheKey(const QuerySpec& query) const {
       p.min_assumptions_for_checks);
   return QueryCacheSignature(query) +
          StrFormat("|cfg:%016llx",
-                   static_cast<unsigned long long>(FnvHash(knobs)));
+                   static_cast<unsigned long long>(Fnv1a64(knobs)));
 }
 
 Result<OptimizedPlan> ProgressiveExecutor::Plan(
@@ -169,9 +159,8 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
   const bool query_is_spj = !query.has_aggregation();
   const int max_attempts = pop_enabled ? pop_config_.max_reopts + 1 : 1;
 
-  // Plan-cache inputs for attempt 0 (re-optimization attempts carry
-  // execution-scoped feedback and matviews, so they never consult the
-  // cache). Computed lazily below inside the attempt-0 branch.
+  // Only attempt 0 consults the plan cache: re-optimization attempts carry
+  // execution-scoped feedback and matviews.
   const bool use_plan_cache = pop_enabled && plan_cache_ != nullptr;
   const std::string cache_key =
       use_plan_cache ? PlanCacheKey(query) : std::string();
@@ -195,72 +184,40 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
     ValidityRangeAnalyzer analyzer(cost_model, pop_config_.validity);
     const FeedbackMap feedback_snapshot = feedback_.Snapshot();
 
-    std::shared_ptr<PlanNode> root;
-    uint64_t cache_digest = 0;
-    int64_t cache_external_epoch = 0;
-    int64_t cache_catalog_version = 0;
-    bool placement_from_cache = false;
+    // Both plan-cache gate values are captured once, before the lookup:
+    // the install below must tag the plan with the inputs it was optimized
+    // under, never with a stats version a concurrent fold published in
+    // between.
     const bool consult_cache = use_plan_cache && attempt == 0;
+    const int64_t cache_catalog_version =
+        consult_cache ? catalog_.stats_version() : 0;
+    const uint64_t cache_digest =
+        consult_cache ? DigestFeedback(feedback_snapshot) : 0;
+
+    std::shared_ptr<PlanNode> root;
+    bool placement_from_cache = false;
     if (consult_cache) {
-      cache_digest = DigestFeedback(feedback_snapshot);
-      cache_external_epoch = cross_query_store_ != nullptr
-                                 ? cross_query_store_->external_epoch()
-                                 : 0;
-      // Captured once: Install/InstallPlacement below must gate on the
-      // same version the lookup (and the optimization between them) saw.
-      // Re-reading it would let a concurrent stats fold tag a plan chosen
-      // under the old statistics with the new version, serving a stale
-      // placement to the next submission.
-      cache_catalog_version = catalog_.stats_version();
-      PlanCache::LookupResult cached = plan_cache_->Lookup(
-          cache_key, cache_external_epoch, cache_catalog_version,
-          cache_digest, feedback_snapshot);
+      const PlanCache::LookupResult cached = plan_cache_->Lookup(
+          cache_key, cache_catalog_version, cache_digest, feedback_snapshot);
       if (stats != nullptr) {
         stats->plan_cache = cached.outcome;
         stats->plan_cache_age_ms = cached.age_ms;
       }
-      if (!cached.hit() && cached.outcome == PlanCacheOutcome::kMissStale &&
-          memo != nullptr && cached.stale_plan != nullptr) {
-        // Near miss: the signature matched but the feedback digest moved.
-        // The stale skeleton's subplans untouched by the feedback delta are
-        // still the DP best plans for their table sets, so they warm-start
-        // the memo and the optimization below only recomputes the rest.
-        memo->SeedFromSkeleton(*cached.stale_plan, cached.stale_feedback,
-                               QueryMemoFingerprint(query));
-        if (stats != nullptr) ++stats->memo_warm_starts;
+      if (cached.outcome == PlanCacheOutcome::kHit) {
+        // Identical optimizer inputs: the placed plan is exactly what DP
+        // enumeration plus the placement pass would produce now.
+        root = cached.placed_plan->Clone();
+        info.checks = cached.placed_checks;
+        placement_from_cache = true;
+      } else if (cached.outcome == PlanCacheOutcome::kValidityHit) {
+        // Still optimal, but moved feedback can change check ranges, so
+        // only DP is skipped; placement runs below.
+        root = cached.plan->Clone();
       }
-      if (cached.outcome == PlanCacheOutcome::kHit && memo != nullptr &&
-          cached.plan != nullptr) {
-        // An exact-hit skeleton is bit-identical to what fresh DP would
-        // produce under the current snapshot (that is the hit guarantee),
-        // so it seeds the memo too: a CHECK violation later in this query
-        // re-optimizes incrementally instead of falling back to full DP.
-        // Validity hits do NOT qualify — their skeleton was chosen under
-        // different feedback.
-        memo->SeedFromSkeleton(*cached.plan, feedback_snapshot,
-                               QueryMemoFingerprint(query));
-      }
-      if (cached.hit()) {
-        if (cached.placed_plan != nullptr) {
-          // Exact hit with a recorded placement: both DP enumeration and
-          // the placement pass reduce to one clone.
-          root = cached.placed_plan->Clone();
-          placement_from_cache = true;
-          info.checks.lc = cached.placed_checks.lc;
-          info.checks.lcem = cached.placed_checks.lcem;
-          info.checks.ecb = cached.placed_checks.ecb;
-          info.checks.ecwc = cached.placed_checks.ecwc;
-          info.checks.ecdc = cached.placed_checks.ecdc;
-          info.checks.work_bound = cached.placed_checks.work_bound;
-        } else {
-          // The skeleton (with its validity ranges) is exactly what a
-          // fresh optimization would produce; clone it and skip DP
-          // enumeration.
-          root = cached.plan->Clone();
-        }
-        info.candidates = cached.candidates;
-      }
+      info.candidates = cached.candidates;
     }
+    OptimizedPlan fresh;
+    std::shared_ptr<const PlanNode> skeleton;
     if (root == nullptr) {
       Result<OptimizedPlan> planned = [&] {
         TRACE_SPAN("optimize", "pop", "attempt", attempt);
@@ -270,48 +227,36 @@ Result<std::vector<Row>> ProgressiveExecutor::Run(const QuerySpec& query,
             pop_enabled ? &analyzer : nullptr, memo);
       }();
       if (!planned.ok()) return planned.status();
-      root = planned.value().root;
-      info.candidates = planned.value().candidates;
+      fresh = std::move(planned.value());
+      root = fresh.root;
+      info.candidates = fresh.candidates;
       if (stats != nullptr) {
-        stats->memo_entries_reused += planned.value().memo_reused;
-        stats->memo_entries_invalidated += planned.value().memo_invalidated;
+        stats->memo_entries_reused += fresh.memo_reused;
+        stats->memo_entries_invalidated += fresh.memo_invalidated;
       }
-      if (consult_cache) {
-        // Install the pre-checkpoint skeleton under the same gating values
-        // the lookup used, so the next identical submission hits.
-        plan_cache_->Install(cache_key, root->Clone(), cache_external_epoch,
-                             cache_catalog_version, cache_digest,
-                             planned.value().candidates,
-                             planned.value().est_cost,
-                             planned.value().est_card, feedback_snapshot);
-      }
+      // Placement mutates the tree, so the cache keeps its own copy of the
+      // pre-checkpoint skeleton.
+      if (consult_cache) skeleton = root->Clone();
     }
 
     // The last permitted attempt runs without checkpoints so the query
     // always terminates (Section 7).
     const bool place_checks = pop_enabled && attempt < pop_config_.max_reopts;
     if (place_checks && !placement_from_cache) {
-      {
-        TRACE_SPAN("place_checkpoints", "pop");
-        info.checks =
-            PlaceCheckpoints(&root, pop_config_, cost_model, query_is_spj);
-      }
-      if (consult_cache) {
-        // Placement is deterministic given the skeleton and the placement
-        // knobs (both pinned by the cache key), so attach the placed plan
-        // to the entry: the next identical submission skips this pass too.
-        PlacedCheckCounts counts;
-        counts.lc = info.checks.lc;
-        counts.lcem = info.checks.lcem;
-        counts.ecb = info.checks.ecb;
-        counts.ecwc = info.checks.ecwc;
-        counts.ecdc = info.checks.ecdc;
-        counts.work_bound = info.checks.work_bound;
-        plan_cache_->InstallPlacement(cache_key, root->Clone(),
-                                      cache_external_epoch,
-                                      cache_catalog_version, cache_digest,
-                                      counts);
-      }
+      TRACE_SPAN("place_checkpoints", "pop");
+      info.checks =
+          PlaceCheckpoints(&root, pop_config_, cost_model, query_is_spj);
+    }
+    if (skeleton != nullptr) {
+      // One install per optimized plan, after placement: placement is
+      // deterministic given the skeleton and the placement knobs (both
+      // pinned by the cache key), so the next identical submission skips
+      // DP and placement alike.
+      std::shared_ptr<const PlanNode> placed =
+          place_checks ? root->Clone() : skeleton;
+      plan_cache_->Install(cache_key, std::move(skeleton), std::move(placed),
+                           info.checks, cache_catalog_version, cache_digest,
+                           fresh.candidates, fresh.est_cost, fresh.est_card);
     }
     if (!returned_so_far.empty()) {
       InsertCompensation(&root);

@@ -70,11 +70,9 @@ struct ExecutionStats {
   PlanCacheOutcome plan_cache = PlanCacheOutcome::kNone;
   double plan_cache_age_ms = 0.0;
   /// Incremental re-optimization: DP memo entries reused / discarded
-  /// across all attempts, and whether a plan-cache near miss warm-started
-  /// the memo from the cached skeleton.
+  /// across all attempts.
   int64_t memo_entries_reused = 0;
   int64_t memo_entries_invalidated = 0;
-  int64_t memo_warm_starts = 0;
 
   const AttemptInfo& last_attempt() const { return attempts.back(); }
 };

@@ -1,8 +1,8 @@
 #include "opt/enumerator.h"
 
 #include <algorithm>
-#include <functional>
 
+#include "common/string_util.h"
 #include "opt/plan_cache.h"
 
 namespace popdb {
@@ -42,37 +42,6 @@ double OperatorRisk(const PlanNode& node) {
 bool SamePartition(const PlanNode& a, const PlanNode& b) {
   if (!IsJoin(a) || !IsJoin(b)) return false;
   return PartitionOf(a) == PartitionOf(b);
-}
-
-void IncrementalMemo::SeedFromSkeleton(const PlanNode& skeleton,
-                                       const FeedbackMap& feedback,
-                                       uint64_t fingerprint) {
-  Reset();
-  std::shared_ptr<PlanNode> root = skeleton.Clone();
-  std::function<void(const std::shared_ptr<PlanNode>&)> walk =
-      [&](const std::shared_ptr<PlanNode>& node) {
-        // Memo entries are pre-narrowing; the skeleton was narrowed after
-        // its install-time enumeration.
-        for (ValidityRange& range : node->child_validity) {
-          range = ValidityRange{};
-        }
-        if ((node->kind == PlanOpKind::kNljn ||
-             node->kind == PlanOpKind::kHsjn ||
-             node->kind == PlanOpKind::kMgjn) &&
-            node->set != 0) {
-          entries_[node->set] = node;
-        }
-        for (const std::shared_ptr<PlanNode>& child : node->children) {
-          walk(child);
-        }
-      };
-  walk(root);
-  feedback_ = feedback;
-  // Cached skeletons never contain matview scans (the plan cache rejects
-  // them), and the install-time enumeration ran without matviews.
-  matviews_.clear();
-  fingerprint_ = fingerprint;
-  valid_ = true;
 }
 
 JoinEnumerator::JoinEnumerator(const Catalog& catalog, const QuerySpec& query,
@@ -598,7 +567,7 @@ Result<std::shared_ptr<PlanNode>> JoinEnumerator::EnumerateJoinTree() {
         "too many tables for exhaustive dynamic programming");
   }
   if (memo_ != nullptr) {
-    memo_fingerprint_ = QueryMemoFingerprint(query_);
+    memo_fingerprint_ = Fnv1a64(QueryCacheSignature(query_));
     if (memo_->valid_ && memo_->fingerprint_ == memo_fingerprint_) {
       ReuseMemoEntries();
     }

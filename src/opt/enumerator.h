@@ -92,16 +92,6 @@ class IncrementalMemo {
     valid_ = false;
   }
 
-  /// Warm start from a cached pre-checkpoint plan skeleton (plan-cache
-  /// near miss: same signature, stale feedback digest). Every join-node
-  /// subtree of the skeleton with table set S is the install-time DP best
-  /// plan for S, so it seeds the memo entry for S; `feedback` must be the
-  /// install-time snapshot so the next enumeration can diff against it.
-  /// The skeleton is post-narrowing, so every validity range of the seeded
-  /// clone is reset to its default — memo entries are pre-narrowing.
-  void SeedFromSkeleton(const PlanNode& skeleton, const FeedbackMap& feedback,
-                        uint64_t fingerprint);
-
   bool valid() const { return valid_; }
   int64_t entries() const { return static_cast<int64_t>(entries_.size()); }
 
@@ -113,8 +103,8 @@ class IncrementalMemo {
   FeedbackMap feedback_;
   /// Identities of the matviews offered to the committing enumeration.
   std::vector<MemoMatViewKey> matviews_;
-  /// QueryMemoFingerprint of the committing query; a mismatch invalidates
-  /// the whole memo.
+  /// FNV-1a of the committing query's QueryCacheSignature; a mismatch
+  /// invalidates the whole memo.
   uint64_t fingerprint_ = 0;
   bool valid_ = false;
 };

@@ -158,114 +158,6 @@ std::string QueryCacheSignature(const QuerySpec& query) {
   return out;
 }
 
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
-void FnvMixU64(uint64_t* h, uint64_t v) { FnvMix(h, &v, sizeof(v)); }
-
-void FnvMixInt(uint64_t* h, int64_t v) { FnvMixU64(h, static_cast<uint64_t>(v)); }
-
-void FnvMixValue(uint64_t* h, const Value& v) {
-  FnvMixInt(h, static_cast<int64_t>(v.type()));
-  switch (v.type()) {
-    case ValueType::kNull:
-      break;
-    case ValueType::kInt:
-    case ValueType::kDouble:
-      FnvMixDouble(h, v.AsNumeric());
-      break;
-    case ValueType::kString:
-      FnvMix(h, v.AsString().data(), v.AsString().size());
-      break;
-  }
-}
-
-uint64_t HashCol(const ColRef& col) {
-  uint64_t h = kFnvOffset;
-  FnvMixInt(&h, col.table_id);
-  FnvMixInt(&h, col.column);
-  return h;
-}
-
-/// Standalone hash of one local predicate; predicates combine by addition
-/// so the fingerprint, like the signature's sorted rendering, does not
-/// depend on their container order.
-uint64_t HashPred(const Predicate& pred) {
-  uint64_t h = kFnvOffset;
-  FnvMixInt(&h, pred.pred_id);
-  FnvMixInt(&h, pred.col.table_id);
-  FnvMixInt(&h, pred.col.column);
-  FnvMixInt(&h, static_cast<int64_t>(pred.kind));
-  if (pred.is_param) {
-    FnvMixInt(&h, pred.param_index);
-    return h;  // Markers stay abstract: the literal is not part of it.
-  }
-  FnvMixValue(&h, pred.operand);
-  FnvMixValue(&h, pred.operand2);
-  uint64_t in_acc = 0;  // IN lists are order-free too.
-  for (const Value& v : pred.in_list) {
-    uint64_t vh = kFnvOffset;
-    FnvMixValue(&vh, v);
-    in_acc += vh;
-  }
-  FnvMixU64(&h, in_acc);
-  FnvMixInt(&h, static_cast<int64_t>(pred.in_list.size()));
-  return h;
-}
-
-}  // namespace
-
-uint64_t QueryMemoFingerprint(const QuerySpec& query) {
-  uint64_t h = kFnvOffset;
-  FnvMixInt(&h, query.num_tables());
-  for (int t = 0; t < query.num_tables(); ++t) {
-    const std::string& name = query.table_name(t);
-    FnvMix(&h, name.data(), name.size());
-    FnvMixInt(&h, t);
-  }
-  uint64_t preds_acc = 0;
-  for (const Predicate& p : query.local_preds()) preds_acc += HashPred(p);
-  FnvMixU64(&h, preds_acc);
-  FnvMixInt(&h, static_cast<int64_t>(query.local_preds().size()));
-  uint64_t joins_acc = 0;
-  for (const JoinPredicate& j : query.join_preds()) {
-    uint64_t a = HashCol(j.left);
-    uint64_t b = HashCol(j.right);
-    if (b < a) std::swap(a, b);  // Commutation-normalized like the signature.
-    uint64_t jh = kFnvOffset;
-    FnvMixU64(&jh, a);
-    FnvMixU64(&jh, b);
-    joins_acc += jh;
-  }
-  FnvMixU64(&h, joins_acc);
-  FnvMixInt(&h, static_cast<int64_t>(query.join_preds().size()));
-  for (const ColRef& c : query.projections()) FnvMixU64(&h, HashCol(c));
-  FnvMixInt(&h, static_cast<int64_t>(query.projections().size()));
-  for (const ColRef& c : query.group_by()) FnvMixU64(&h, HashCol(c));
-  FnvMixInt(&h, static_cast<int64_t>(query.group_by().size()));
-  for (const QuerySpec::Agg& a : query.aggs()) {
-    FnvMixInt(&h, static_cast<int64_t>(a.func));
-    FnvMixU64(&h, HashCol(a.arg));
-  }
-  FnvMixInt(&h, static_cast<int64_t>(query.aggs().size()));
-  for (const QuerySpec::OrderKey& k : query.order_by()) {
-    FnvMixInt(&h, k.output_pos);
-    FnvMixInt(&h, k.descending ? 1 : 0);
-  }
-  FnvMixInt(&h, static_cast<int64_t>(query.order_by().size()));
-  for (const QuerySpec::HavingPred& hp : query.having()) {
-    FnvMixInt(&h, hp.output_pos);
-    FnvMixInt(&h, static_cast<int64_t>(hp.kind));
-    FnvMixValue(&h, hp.operand);
-    FnvMixValue(&h, hp.operand2);
-  }
-  FnvMixInt(&h, static_cast<int64_t>(query.having().size()));
-  FnvMixInt(&h, query.distinct() ? 1 : 0);
-  FnvMixInt(&h, query.limit());
-  return h;
-}
-
 uint64_t DigestFeedback(const FeedbackMap& feedback) {
   uint64_t h = 1469598103934665603ull;  // FNV offset basis.
   for (const auto& [set, fb] : feedback) {  // std::map: sorted, stable.
@@ -303,14 +195,17 @@ const char* PlanCacheOutcomeName(PlanCacheOutcome outcome) {
 }
 
 PlanCache::PlanCache(PlanCacheConfig config) : config_(config) {
-  if (config_.shards < 1) config_.shards = 1;
   if (config_.max_entries < 0) config_.max_entries = 0;
-  per_shard_cap_ =
-      std::max<int64_t>(1, (config_.max_entries + config_.shards - 1) /
-                               config_.shards);
+  config_.shards = static_cast<int>(std::clamp<int64_t>(
+      config_.shards, 1, std::max<int64_t>(1, config_.max_entries)));
+  // Split max_entries exactly: the first `max_entries % shards` shards hold
+  // one extra entry, so total residency never exceeds the cap.
+  const int64_t base = config_.max_entries / config_.shards;
+  const int64_t extra = config_.max_entries % config_.shards;
   shards_.reserve(static_cast<size_t>(config_.shards));
   for (int i = 0; i < config_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>());
+    shards_.back()->cap = std::max<int64_t>(1, base + (i < extra ? 1 : 0));
   }
 }
 
@@ -326,13 +221,11 @@ void PlanCache::EvictLocked(
 }
 
 PlanCache::LookupResult PlanCache::Lookup(const std::string& signature,
-                                          int64_t external_epoch,
                                           int64_t catalog_version,
                                           uint64_t feedback_digest,
                                           const FeedbackMap& feedback) {
   LookupResult result;
   bool evicted_invalid = false;
-  bool evicted_stale_stats = false;
   {
     Shard& shard = ShardFor(signature);
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -341,12 +234,10 @@ PlanCache::LookupResult PlanCache::Lookup(const std::string& signature,
       result.outcome = PlanCacheOutcome::kMissCold;
     } else {
       Entry& entry = it->second;
-      if (entry.external_epoch != external_epoch ||
-          entry.catalog_version != catalog_version) {
-        // Out-of-band world change (stats refresh, matview DDL, manual
-        // bump). Epochs are monotone, so the entry can never match again.
+      if (entry.catalog_version != catalog_version) {
+        // The statistics changed. Versions are monotone, so the entry can
+        // never match again.
         result.outcome = PlanCacheOutcome::kMissEpoch;
-        evicted_stale_stats = entry.catalog_version != catalog_version;
         EvictLocked(&shard, it);
         evicted_invalid = true;
       } else if (entry.feedback_digest == feedback_digest) {
@@ -359,17 +250,13 @@ PlanCache::LookupResult PlanCache::Lookup(const std::string& signature,
       } else if (config_.validity_hits) {
         result.outcome = PlanCacheOutcome::kValidityHit;
       } else {
-        // Near miss: same signature, feedback digest moved. Hand out the
-        // stale skeleton and its install-time feedback so the caller can
-        // warm-start incremental re-optimization from it.
+        // Feedback moved: the entry stays resident (the digest may match
+        // again) but is not served.
         result.outcome = PlanCacheOutcome::kMissStale;
-        result.stale_plan = entry.plan;
-        result.stale_feedback = entry.feedback;
       }
       if (result.hit()) {
         result.plan = entry.plan;
-        if (result.outcome == PlanCacheOutcome::kHit &&
-            entry.placed_plan != nullptr) {
+        if (result.outcome == PlanCacheOutcome::kHit) {
           // Identical digest: the placement pass would reproduce this
           // placed plan bit for bit, so the hit skips placement too.
           result.placed_plan = entry.placed_plan;
@@ -399,7 +286,6 @@ PlanCache::LookupResult PlanCache::Lookup(const std::string& signature,
         break;
       case PlanCacheOutcome::kMissStale:
         ++stats_.misses_stale;
-        ++stats_.near_misses;
         break;
       case PlanCacheOutcome::kMissEpoch:
         ++stats_.misses_epoch;
@@ -411,14 +297,13 @@ PlanCache::LookupResult PlanCache::Lookup(const std::string& signature,
         break;
     }
     if (evicted_invalid) ++stats_.evictions_invalid;
-    if (evicted_stale_stats) ++stats_.evictions_stale_stats;
-    if (result.placed_plan != nullptr) ++stats_.placement_hits;
+    if (result.outcome == PlanCacheOutcome::kMissEpoch) {
+      ++stats_.evictions_stale_stats;
+    }
   }
   if (result.hit()) {
     TRACE_INSTANT_ARG("plan_cache_hit", "opt", "age_ms",
                       static_cast<int64_t>(result.age_ms));
-  } else if (result.outcome == PlanCacheOutcome::kMissStale) {
-    TRACE_INSTANT("plan_cache_near_miss", "opt");
   } else if (evicted_invalid) {
     TRACE_INSTANT("plan_cache_invalidate", "opt");
   }
@@ -427,35 +312,38 @@ PlanCache::LookupResult PlanCache::Lookup(const std::string& signature,
 
 void PlanCache::Install(const std::string& signature,
                         std::shared_ptr<const PlanNode> plan,
-                        int64_t external_epoch, int64_t catalog_version,
-                        uint64_t feedback_digest, int64_t candidates,
-                        double est_cost, double est_card,
-                        FeedbackMap feedback) {
-  if (plan == nullptr || config_.max_entries <= 0) return;
+                        std::shared_ptr<const PlanNode> placed_plan,
+                        PlacedCheckCounts placed_checks,
+                        int64_t catalog_version, uint64_t feedback_digest,
+                        int64_t candidates, double est_cost,
+                        double est_card) {
+  if (plan == nullptr || placed_plan == nullptr || config_.max_entries <= 0) {
+    return;
+  }
   // Matview scans reference rows owned by one execution; caching them
   // would dangle. Oversized plans are not worth the memory.
-  if (ContainsMatViewScan(*plan)) return;
-  if (CountPlanNodes(*plan) > config_.max_plan_nodes) return;
+  for (const PlanNode* p : {plan.get(), placed_plan.get()}) {
+    if (ContainsMatViewScan(*p) ||
+        CountPlanNodes(*p) > config_.max_plan_nodes) {
+      return;
+    }
+  }
 
   int evictions = 0;
   {
     Shard& shard = ShardFor(signature);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.entries.find(signature);
-    if (it != shard.entries.end()) {
-      shard.lru.erase(it->second.lru_pos);
-      shard.entries.erase(it);
-    }
-    while (static_cast<int64_t>(shard.entries.size()) >= per_shard_cap_) {
-      auto victim = shard.entries.find(shard.lru.back());
-      EvictLocked(&shard, victim);
+    if (it != shard.entries.end()) EvictLocked(&shard, it);
+    while (static_cast<int64_t>(shard.entries.size()) >= shard.cap) {
+      EvictLocked(&shard, shard.entries.find(shard.lru.back()));
       ++evictions;
     }
     Entry entry;
     entry.plan = std::move(plan);
+    entry.placed_plan = std::move(placed_plan);
+    entry.placed_checks = placed_checks;
     entry.feedback_digest = feedback_digest;
-    entry.feedback = std::move(feedback);
-    entry.external_epoch = external_epoch;
     entry.catalog_version = catalog_version;
     entry.validity = CollectValidityRanges(*entry.plan);
     entry.candidates = candidates;
@@ -473,60 +361,6 @@ void PlanCache::Install(const std::string& signature,
   }
   if (evictions > 0) {
     TRACE_INSTANT_ARG("plan_cache_evict", "opt", "count", evictions);
-  }
-}
-
-void PlanCache::InstallPlacement(const std::string& signature,
-                                 std::shared_ptr<const PlanNode> placed_plan,
-                                 int64_t external_epoch,
-                                 int64_t catalog_version,
-                                 uint64_t feedback_digest,
-                                 PlacedCheckCounts checks) {
-  if (placed_plan == nullptr || config_.max_entries <= 0) return;
-  if (ContainsMatViewScan(*placed_plan)) return;
-  // The placed plan carries extra CHECK/TEMP nodes; apply the same size
-  // cap as skeletons (a placement roughly doubling the node count signals
-  // a degenerate plan not worth caching).
-  if (CountPlanNodes(*placed_plan) > config_.max_plan_nodes) return;
-
-  bool installed = false;
-  {
-    Shard& shard = ShardFor(signature);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(signature);
-    if (it == shard.entries.end()) return;
-    Entry& entry = it->second;
-    // The entry may have been replaced since the caller's lookup; attach
-    // the placement only when it belongs to exactly this entry.
-    if (entry.external_epoch != external_epoch ||
-        entry.catalog_version != catalog_version ||
-        entry.feedback_digest != feedback_digest) {
-      return;
-    }
-    entry.placed_plan = std::move(placed_plan);
-    entry.placed_checks = checks;
-    installed = true;
-  }
-  if (installed) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.placement_installs;
-  }
-}
-
-void PlanCache::InvalidateAll() {
-  int64_t dropped = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    dropped += static_cast<int64_t>(shard->entries.size());
-    shard->entries.clear();
-    shard->lru.clear();
-  }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    stats_.evictions_invalid += dropped;
-  }
-  if (dropped > 0) {
-    TRACE_INSTANT_ARG("plan_cache_invalidate", "opt", "dropped", dropped);
   }
 }
 

@@ -33,15 +33,6 @@ namespace popdb {
 /// query conservatively miss.
 std::string QueryCacheSignature(const QuerySpec& query);
 
-/// 64-bit FNV-1a fingerprint over the same canonical content as
-/// QueryCacheSignature, streamed without building the signature string.
-/// Used where the fingerprint is recomputed on a hot path (the incremental
-/// re-optimization memo checks it on every optimize call) and the
-/// negligible collision probability of a 64-bit digest is acceptable.
-/// Local/join predicates combine order-independently, mirroring the
-/// signature's sorted rendering.
-uint64_t QueryMemoFingerprint(const QuerySpec& query);
-
 /// Order-independent 64-bit FNV-1a digest of a feedback snapshot. Two
 /// snapshots digest equal iff they contain the same (table set, exact,
 /// lower bound) entries — the plan cache's definition of "feedback has not
@@ -62,16 +53,18 @@ enum class PlanCacheOutcome {
                     ///< (served only with PlanCacheConfig::validity_hits).
   kMissCold,        ///< No entry for the signature.
   kMissStale,       ///< Feedback moved since install (digest changed).
-  kMissEpoch,       ///< Out-of-band invalidation: stats refresh, matview
-                    ///< DDL, or manual epoch bump; entry evicted.
+  kMissEpoch,       ///< Catalog stats version moved (RUNSTATS, index or
+                    ///< table creation, write-path stats fold); entry
+                    ///< evicted.
   kMissValidity,    ///< Feedback moved outside a recorded validity range;
                     ///< entry evicted (provably no longer optimal).
 };
 
 const char* PlanCacheOutcomeName(PlanCacheOutcome outcome);
 
-/// Checkpoint counts of a cached placement, mirrored from the placement
-/// pass as plain ints (the opt layer cannot see core's PlacementStats).
+/// Per-flavor checkpoint counts of a placed plan. Declared here so a cache
+/// entry can carry them; core's placement pass returns them as
+/// PlacementStats (an alias).
 struct PlacedCheckCounts {
   int lc = 0;
   int lcem = 0;
@@ -79,12 +72,15 @@ struct PlacedCheckCounts {
   int ecwc = 0;
   int ecdc = 0;
   int work_bound = 0;
+
+  int total() const { return lc + lcem + ecb + ecwc + ecdc; }
 };
 
 struct PlanCacheConfig {
   /// Total entry cap across shards (LRU per shard). <= 0 disables installs.
   int64_t max_entries = 256;
-  /// Concurrency shards, each with its own mutex and LRU list.
+  /// Concurrency shards, each with its own mutex and LRU list; clamped to
+  /// max_entries so every shard holds at least one entry.
   int shards = 8;
   /// Serve entries whose feedback digest changed as long as every current
   /// cardinality stays inside the plan's recorded validity ranges. Off by
@@ -95,21 +91,26 @@ struct PlanCacheConfig {
   int64_t max_plan_nodes = 4096;
 };
 
-/// Process-wide cache of optimized plan skeletons keyed by canonical query
-/// signature, gated by a feedback epoch. An entry is served only when the
-/// optimizer would provably reproduce it:
-///   - the external epoch (stats refreshes, matview DDL, manual bumps) and
-///     the catalog stats version match the install-time values, and
-///   - the seeded-feedback digest matches (harvested feedback that changed
-///     any cardinality estimate for the query's subplans forces a miss).
-/// With `validity_hits` enabled, the digest gate is relaxed to POP's
+/// Process-wide cache of optimized plans keyed by canonical query
+/// signature. An entry is valid on exactly two values, both captured once
+/// by the caller before the lookup:
+///   - the catalog stats version (RUNSTATS, CreateIndex, AddTable and
+///     write-path stats folds all move it), and
+///   - the digest of the feedback the optimizer is seeded with (harvested
+///     feedback that changed any cardinality estimate for the query's
+///     subplans forces a miss).
+/// A strict hit therefore sees the optimizer inputs that installed the
+/// entry and is bit-identical to a fresh optimization. With
+/// `validity_hits` enabled, the digest gate is relaxed to POP's
 /// validity-range test: feedback that moved but stayed inside every
 /// recorded range still hits (the plan is still optimal, though a fresh
 /// optimization might tie-break differently).
 ///
-/// Entries hold immutable plan skeletons captured *before* checkpoint
-/// placement; a hit clones the skeleton and proceeds straight to
-/// placement, skipping DP enumeration entirely.
+/// Each entry is installed once, after checkpoint placement, and holds
+/// both the pre-checkpoint skeleton and the placed plan. A strict hit
+/// clones the placed plan and skips DP enumeration and placement; a
+/// validity hit clones the skeleton and re-places (moved feedback can
+/// change check ranges).
 ///
 /// Thread safe: lookups and installs from concurrent QueryService workers
 /// serialize per shard; statistics are atomics. Entries are handed out as
@@ -122,25 +123,18 @@ class PlanCache {
  public:
   struct LookupResult {
     PlanCacheOutcome outcome = PlanCacheOutcome::kMissCold;
-    /// Set on (validity-)hits; clone before mutating.
+    /// Pre-checkpoint skeleton, set on (validity-)hits; clone before
+    /// mutating.
     std::shared_ptr<const PlanNode> plan;
-    /// Checkpoint-placed variant of `plan`, set only on exact hits (the
+    /// Checkpoint-placed plan and its counts, set only on exact hits: the
     /// feedback digest is identical, so the placement pass would reproduce
-    /// it verbatim) when InstallPlacement recorded one. Validity hits
-    /// re-place: moved feedback can change check ranges.
+    /// it verbatim.
     std::shared_ptr<const PlanNode> placed_plan;
     PlacedCheckCounts placed_checks;
     int64_t candidates = 0;  ///< DP candidates of the installing run.
     double est_cost = 0.0;
     double est_card = 0.0;
     double age_ms = 0.0;     ///< Entry age at hit time.
-    /// Near miss (kMissStale) only: the stale skeleton and the feedback
-    /// snapshot it was optimized under. The plan is NOT servable — the
-    /// feedback moved — but it warm-starts incremental re-optimization:
-    /// every subplan untouched by the feedback delta is provably still the
-    /// DP best for its table set.
-    std::shared_ptr<const PlanNode> stale_plan;
-    FeedbackMap stale_feedback;
 
     bool hit() const {
       return outcome == PlanCacheOutcome::kHit ||
@@ -157,20 +151,11 @@ class PlanCache {
     int64_t misses_stale = 0;
     int64_t misses_epoch = 0;
     int64_t misses_validity = 0;
-    /// Stale misses are also near misses: the signature matched and only
-    /// the feedback digest moved, so the entry warm-starts incremental
-    /// re-optimization. Counted separately so the warm-start path is
-    /// observable (== misses_stale today; kept distinct in case future
-    /// outcomes qualify).
-    int64_t near_misses = 0;
     int64_t installs = 0;
-    int64_t placement_installs = 0;  ///< Placed plans attached to entries.
-    int64_t placement_hits = 0;      ///< Exact hits served with placement.
     int64_t evictions_lru = 0;
     int64_t evictions_invalid = 0;
-    /// Subset of evictions_invalid where the catalog stats version moved
-    /// (a write-path statistics fold), as opposed to an external feedback
-    /// epoch bump. Observable as
+    /// Subset of evictions_invalid where the catalog stats version moved,
+    /// as opposed to feedback leaving a validity range. Observable as
     /// popdb_plan_cache_stale_stats_evictions_total.
     int64_t evictions_stale_stats = 0;
 
@@ -183,40 +168,25 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Looks up `signature`. `external_epoch` is the out-of-band feedback
-  /// epoch (QueryFeedbackStore::external_epoch()), `catalog_version` the
-  /// catalog's stats version, `feedback_digest` the digest of the feedback
-  /// the optimizer would be seeded with, and `feedback` that snapshot (for
-  /// the validity-range test).
-  LookupResult Lookup(const std::string& signature, int64_t external_epoch,
-                      int64_t catalog_version, uint64_t feedback_digest,
-                      const FeedbackMap& feedback);
+  /// Looks up `signature`. `catalog_version` is the catalog's stats
+  /// version, `feedback_digest` the digest of the feedback the optimizer
+  /// would be seeded with, and `feedback` that snapshot (for the
+  /// validity-range test).
+  LookupResult Lookup(const std::string& signature, int64_t catalog_version,
+                      uint64_t feedback_digest, const FeedbackMap& feedback);
 
-  /// Installs (or replaces) the entry for `signature`. `plan` is the
-  /// pre-checkpoint skeleton and must not contain matview scans (those are
-  /// scoped to one execution). Oversized plans are silently skipped.
-  /// `feedback` is the snapshot the plan was optimized under (the one
-  /// `feedback_digest` digests); a later near-miss lookup returns it so
-  /// incremental re-optimization can diff against it.
+  /// Installs (or replaces) the entry for `signature` under the gate
+  /// values its lookup used. `plan` is the pre-checkpoint skeleton and
+  /// `placed_plan` the same plan after checkpoint placement (`plan` itself
+  /// when no checkpoints were placed), with `placed_checks` its counts.
+  /// Plans with matview scans (scoped to one execution) and oversized
+  /// plans are silently skipped.
   void Install(const std::string& signature,
-               std::shared_ptr<const PlanNode> plan, int64_t external_epoch,
-               int64_t catalog_version, uint64_t feedback_digest,
-               int64_t candidates, double est_cost, double est_card,
-               FeedbackMap feedback = {});
-
-  /// Attaches the checkpoint-placed variant of an installed skeleton.
-  /// No-op unless an entry for `signature` exists and its gating values
-  /// (epoch, catalog version, feedback digest) match `placed_plan`'s —
-  /// placement is deterministic given the skeleton and the placement
-  /// config (part of the signature), so an exact future hit may reuse the
-  /// placed plan and skip the placement pass too.
-  void InstallPlacement(const std::string& signature,
-                        std::shared_ptr<const PlanNode> placed_plan,
-                        int64_t external_epoch, int64_t catalog_version,
-                        uint64_t feedback_digest, PlacedCheckCounts checks);
-
-  /// Drops every entry (DDL-style invalidation).
-  void InvalidateAll();
+               std::shared_ptr<const PlanNode> plan,
+               std::shared_ptr<const PlanNode> placed_plan,
+               PlacedCheckCounts placed_checks, int64_t catalog_version,
+               uint64_t feedback_digest, int64_t candidates, double est_cost,
+               double est_card);
 
   int64_t size() const;
   Stats stats() const;
@@ -225,13 +195,9 @@ class PlanCache {
  private:
   struct Entry {
     std::shared_ptr<const PlanNode> plan;
-    /// Checkpoint-placed variant (null until InstallPlacement).
     std::shared_ptr<const PlanNode> placed_plan;
     PlacedCheckCounts placed_checks;
     uint64_t feedback_digest = 0;
-    /// Install-time feedback snapshot (what feedback_digest digests).
-    FeedbackMap feedback;
-    int64_t external_epoch = 0;
     int64_t catalog_version = 0;
     std::map<TableSet, ValidityRange> validity;
     int64_t candidates = 0;
@@ -247,6 +213,7 @@ class PlanCache {
     std::mutex mu;
     std::unordered_map<std::string, Entry> entries;
     std::list<std::string> lru;  ///< Signatures, most recent first.
+    int64_t cap = 1;  ///< This shard's share of max_entries.
   };
 
   Shard& ShardFor(const std::string& signature);
@@ -255,7 +222,6 @@ class PlanCache {
                    std::unordered_map<std::string, Entry>::iterator it);
 
   PlanCacheConfig config_;
-  int64_t per_shard_cap_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   mutable std::mutex stats_mu_;

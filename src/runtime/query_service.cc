@@ -119,25 +119,22 @@ QueryService::QueryService(const Catalog& catalog, ServiceConfig config)
         "Lookups served from the plan cache (DP enumeration skipped).");
     plan_cache_misses_ = registry.GetGauge(
         "popdb_plan_cache_misses",
-        "Lookups that fell through to full optimization (cold, stale, "
-        "epoch-invalidated, or validity-violated).");
+        "Lookups that fell through to full optimization (cold, stale "
+        "feedback, stats version moved, or validity-violated).");
     plan_cache_invalidations_ = registry.GetGauge(
         "popdb_plan_cache_invalidations",
-        "Entries evicted as invalid (stats refresh / matview DDL epoch "
-        "bumps and validity-range violations).");
+        "Entries evicted as invalid (stats version moved or validity-range "
+        "violated).");
     plan_cache_stale_stats_evictions_ = registry.GetGauge(
         "popdb_plan_cache_stale_stats_evictions_total",
         "Plan-cache entries evicted because the catalog stats version "
         "moved since install (write-path statistics folds).");
     plan_cache_installs_ = registry.GetGauge(
         "popdb_plan_cache_installs",
-        "Optimized plan skeletons installed into the cache.");
+        "Optimized plans installed into the cache (skeleton plus "
+        "checkpoint-placed plan).");
     plan_cache_size_ = registry.GetGauge(
         "popdb_plan_cache_size", "Plan-cache entries currently resident.");
-    plan_cache_near_misses_ = registry.GetGauge(
-        "popdb_plan_cache_near_misses",
-        "Lookups whose signature matched but whose feedback digest moved; "
-        "their stale skeleton warm-starts incremental re-optimization.");
     // Entry ages span sub-ms re-submissions to long-lived sessions;
     // 0.5ms..~4.4min in doubling buckets.
     plan_cache_hit_age_ = registry.GetHistogram(
@@ -545,7 +542,6 @@ std::string QueryService::MetricsText() {
     plan_cache_stale_stats_evictions_->Set(ps.evictions_stale_stats);
     plan_cache_installs_->Set(ps.installs);
     plan_cache_size_->Set(plan_cache_->size());
-    plan_cache_near_misses_->Set(ps.near_misses);
   }
   if (morsel_pool_ != nullptr) {
     const MorselDispatcher::Stats ms = morsel_pool_->stats();

@@ -119,10 +119,11 @@ struct ServiceConfig {
 
   /// Shared plan-cache capacity in entries; <= 0 disables plan caching.
   /// The cache is keyed by canonical query signature and gated by the
-  /// feedback epoch/digest, so repeat submissions (prepared statements
-  /// with different bindings included) skip DP enumeration while hits
-  /// remain provably identical to fresh optimizations. Only effective
-  /// when use_pop is true (static runs never consult the cache).
+  /// catalog stats version and the feedback digest, so repeat submissions
+  /// (prepared statements with different bindings included) skip DP
+  /// enumeration and checkpoint placement while hits remain provably
+  /// identical to fresh optimizations. Only effective when use_pop is
+  /// true (static runs never consult the cache).
   int64_t plan_cache_entries = 256;
 
   /// Relaxed reuse: serve entries whose feedback digest moved as long as
@@ -292,11 +293,11 @@ class QueryService {
   const Catalog& catalog() const { return catalog_; }
 
   /// The shared plan cache, or null when plan_cache_entries <= 0 (tests:
-  /// inspect hit/miss counters, force invalidations).
+  /// inspect hit/miss counters).
   PlanCache* plan_cache() { return plan_cache_.get(); }
 
-  /// The process-wide shared feedback store (tests: bump the external
-  /// epoch to model a stats refresh, inspect learned cardinalities).
+  /// The process-wide shared feedback store (tests: inspect learned
+  /// cardinalities).
   QueryFeedbackStore& shared_feedback() { return shared_feedback_; }
 
   /// Draws a fresh id from the service-wide query-id sequence. Used by
@@ -387,11 +388,9 @@ class QueryService {
   Gauge* plan_cache_hits_ = nullptr;         ///< Exact + validity hits.
   Gauge* plan_cache_misses_ = nullptr;       ///< All miss kinds.
   Gauge* plan_cache_invalidations_ = nullptr;  ///< Entries evicted as
-                                               ///< stale (epoch/validity).
+                                               ///< stale (stats/validity).
   Gauge* plan_cache_installs_ = nullptr;
   Gauge* plan_cache_size_ = nullptr;         ///< Entries resident now.
-  Gauge* plan_cache_near_misses_ = nullptr;  ///< Signature hit, digest
-                                             ///< moved (warm-start source).
   Histogram* plan_cache_hit_age_ = nullptr;  ///< Age of served entries.
 
   std::mutex mu_;
@@ -405,12 +404,12 @@ class QueryService {
   /// intra_query_dop <= 1. External-worker mode: WorkerLoop drains it.
   std::unique_ptr<MorselDispatcher> morsel_pool_;
 
-  /// Shared across all workers and sessions; null when disabled. Each
-  /// executor gates lookups on the external epoch of *its* feedback store
-  /// (the shared store, or the per-session one when share_feedback is
-  /// off); the feedback digest keeps cross-session reuse sound either
-  /// way, since a hit requires the exact optimizer inputs that installed
-  /// the entry.
+  /// Shared across all workers and sessions; null when disabled. An entry
+  /// is gated on the catalog stats version and the digest of the feedback
+  /// the executor seeds from *its* store (the shared one, or the
+  /// per-session one when share_feedback is off), so cross-session reuse
+  /// stays sound either way: a hit requires the exact optimizer inputs
+  /// that installed the entry.
   std::unique_ptr<PlanCache> plan_cache_;
 
   /// Always-on structured query log; null when disabled.

@@ -4,16 +4,12 @@
 #include <utility>
 
 #include "common/json.h"
+#include "common/string_util.h"
 
 namespace popdb {
 
 uint64_t PlanTextDigest(const std::string& plan_text) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis.
-  for (const char c : plan_text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
+  return Fnv1a64(plan_text);
 }
 
 void FillTraceFromStats(ExecutionStats* stats, QueryTrace* trace) {

@@ -65,7 +65,7 @@ struct QueryTrace {
   std::string signature;
   /// PlanTextDigest of the final executed plan — two records with equal
   /// signatures but different digests mean the plan changed
-  /// (re-optimization, epoch bump, stats refresh). 0 = no plan.
+  /// (re-optimization, feedback change, stats refresh). 0 = no plan.
   uint64_t plan_digest = 0;
   /// Largest per-operator cardinality Q-error across all attempt profiles;
   /// -1 when no completed, estimated operator was observed.

@@ -82,7 +82,6 @@ struct World {
   int64_t reopts = 0;
   int64_t memo_reused = 0;
   int64_t memo_invalidated = 0;
-  int64_t memo_warm_starts = 0;
 };
 
 Outcome RunOnce(World* world, const QuerySpec& query) {
@@ -112,7 +111,6 @@ Outcome RunOnce(World* world, const QuerySpec& query) {
   world->reopts += stats.reopts;
   world->memo_reused += stats.memo_entries_reused;
   world->memo_invalidated += stats.memo_entries_invalidated;
-  world->memo_warm_starts += stats.memo_warm_starts;
   return o;
 }
 
@@ -214,12 +212,11 @@ TEST(ReoptDifferentialTest, DmvWorkload) {
               /*expect_reopts=*/!LightMode());
 }
 
-TEST(ReoptDifferentialTest, NearMissWarmStartStaysIdentical) {
-  // Plan-cache near misses (same signature, moved feedback digest) hand
-  // their stale skeleton to the memo as a warm start. The warm-started
-  // first optimization must still be bit-identical to full DP: the
-  // incremental world here additionally has a plan cache, the baseline
-  // world has neither cache nor memo.
+TEST(ReoptDifferentialTest, CacheAndMemoMatchNeither) {
+  // Both plan-reuse paths at once: the world under test serves attempt 0
+  // from a plan cache where it can and re-optimizes through the
+  // incremental memo; the baseline world has neither cache nor memo. Every
+  // run must be indistinguishable.
   Catalog catalog;
   tpch::GenConfig gen;
   gen.scale = 0.002;
@@ -229,8 +226,9 @@ TEST(ReoptDifferentialTest, NearMissWarmStartStaysIdentical) {
   tpch::QueryOptions marked;
   marked.param_markers = true;
   for (int qnum : tpch::PaperQueries()) {
-    // Light mode: join-heavy queries only, so warm starts leave reusable
-    // entries (a 2-table query's delta can dirty its whole memo).
+    // Light mode: join-heavy queries only, so re-optimizations leave
+    // reusable memo entries (a 2-table query's delta can dirty its whole
+    // memo).
     if (LightMode() && qnum != 8 && qnum != 9) continue;
     corpus.push_back(tpch::MakeQuery(qnum, marked));
   }
@@ -245,15 +243,13 @@ TEST(ReoptDifferentialTest, NearMissWarmStartStaysIdentical) {
     }
   }
 
-  // Marker queries re-optimize and learn cardinalities into the shared
-  // store, so re-submissions find their cached entry stale: the lookups
-  // must have been classified as near misses and must have warm-started
-  // the memo (a sweep without either would leave the warm-start path
-  // untested).
+  // The oracle must not pass vacuously: marker queries learn cardinalities
+  // into the shared store, so some re-submissions find their entry stale,
+  // others are served from the cache once the feedback settles, and the
+  // re-optimizations reuse memo entries.
   const PlanCache::Stats stats = inc.cache->stats();
-  EXPECT_GT(stats.near_misses, 0) << "no lookup ever near-missed";
-  EXPECT_EQ(stats.near_misses, stats.misses_stale);
-  EXPECT_GT(inc.memo_warm_starts, 0) << "no near miss warm-started the memo";
+  EXPECT_GT(stats.hits, 0) << "no lookup was ever served from the cache";
+  EXPECT_GT(stats.misses_stale, 0) << "no lookup ever found a stale entry";
   EXPECT_GT(inc.memo_reused, 0);
 }
 

@@ -551,7 +551,7 @@ TEST(SnapshotConsistencyTest, DifferentialDopConsistencyUnderWrites) {
   EXPECT_EQ(0, failures.load());
 }
 
-// --------------------------- plan cache vs. stats-version (satellite #6)
+// --------------------------- plan cache vs. stats version
 
 std::shared_ptr<PlanNode> ScanPlan() {
   auto scan = std::make_shared<PlanNode>();
@@ -564,50 +564,21 @@ std::shared_ptr<PlanNode> ScanPlan() {
 
 TEST(PlanCacheStatsVersionTest, StaleStatsLookupEvictsAndIsCounted) {
   PlanCache cache;
-  cache.Install("sig", ScanPlan(), /*external_epoch=*/0,
+  cache.Install("sig", ScanPlan(), ScanPlan(), PlacedCheckCounts{},
                 /*catalog_version=*/1, /*feedback_digest=*/42, 0, 0.0, 0.0);
 
   // A write-path fold moved the catalog stats version: hard invalidation,
-  // attributed to stale stats (not to an external epoch bump).
+  // attributed to stale stats.
   EXPECT_EQ(PlanCacheOutcome::kMissEpoch,
-            cache.Lookup("sig", 0, 2, 42, {}).outcome);
+            cache.Lookup("sig", 2, 42, {}).outcome);
   EXPECT_EQ(0, cache.size());
+  EXPECT_EQ(1, cache.stats().evictions_invalid);
   EXPECT_EQ(1, cache.stats().evictions_stale_stats);
 
-  // An external epoch bump alone evicts too but is not a stale-stats
-  // eviction.
-  cache.Install("sig", ScanPlan(), 0, 2, 42, 0, 0.0, 0.0);
-  EXPECT_EQ(PlanCacheOutcome::kMissEpoch,
-            cache.Lookup("sig", 1, 2, 42, {}).outcome);
-  EXPECT_EQ(2, cache.stats().evictions_invalid);
-  EXPECT_EQ(1, cache.stats().evictions_stale_stats);
-}
-
-TEST(PlanCacheStatsVersionTest, PlacementFromMovedStatsVersionIsNotAttached) {
-  // Regression for the lookup/placement race: a stats fold lands between
-  // the signature lookup (which captured catalog version 1) and the
-  // checkpoint-placement install. The placement was computed under the old
-  // statistics; attaching it would let a later exact hit skip placement
-  // with a stale placed plan.
-  PlanCache cache;
-  cache.Install("sig", ScanPlan(), /*external_epoch=*/0,
-                /*catalog_version=*/1, /*feedback_digest=*/42, 0, 0.0, 0.0);
-  cache.InstallPlacement("sig", ScanPlan(), /*external_epoch=*/0,
-                         /*catalog_version=*/2, /*feedback_digest=*/42, {});
-
-  PlanCache::LookupResult hit = cache.Lookup("sig", 0, 1, 42, {});
-  ASSERT_EQ(PlanCacheOutcome::kHit, hit.outcome);
-  EXPECT_EQ(nullptr, hit.placed_plan) << "stale placement was served";
-  EXPECT_EQ(0, cache.stats().placement_installs);
-
-  // The matching-version install attaches and is then served on the next
-  // exact hit.
-  cache.InstallPlacement("sig", ScanPlan(), 0, /*catalog_version=*/1, 42, {});
-  PlanCache::LookupResult placed = cache.Lookup("sig", 0, 1, 42, {});
-  ASSERT_EQ(PlanCacheOutcome::kHit, placed.outcome);
-  EXPECT_NE(nullptr, placed.placed_plan);
-  EXPECT_EQ(1, cache.stats().placement_installs);
-  EXPECT_EQ(1, cache.stats().placement_hits);
+  // Reinstalled under the new version, the entry hits again.
+  cache.Install("sig", ScanPlan(), ScanPlan(), PlacedCheckCounts{}, 2, 42, 0,
+                0.0, 0.0);
+  EXPECT_EQ(PlanCacheOutcome::kHit, cache.Lookup("sig", 2, 42, {}).outcome);
 }
 
 }  // namespace
