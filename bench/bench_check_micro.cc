@@ -4,7 +4,9 @@
 // comparing against the range — about 2-3% of total execution time
 // (Sections 1, 5.2). This benchmark isolates that per-row cost, pulling
 // through NextBatch at batch size 1 (one row per call) and at the
-// production batch size of 1024 (the benchmark argument).
+// production batch size of 1024 (the benchmark argument). Two more drains
+// measure the operators that read their inputs one row at a time at every
+// batch size: MGJN over two sorts and WORKBOUND over a scan.
 
 #include <benchmark/benchmark.h>
 
@@ -12,6 +14,7 @@
 
 #include "common/rng.h"
 #include "exec/check.h"
+#include "exec/join.h"
 #include "exec/scan.h"
 #include "exec/sort.h"
 #include "storage/catalog.h"
@@ -107,6 +110,36 @@ void BM_ScanWithLazyCheckOverTemp(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kRows);
 }
 BENCHMARK(BM_ScanWithLazyCheckOverTemp)->Arg(1)->Arg(1024);
+
+void BM_MgjnOverTwoSorts(benchmark::State& state) {
+  // Self-join on the unique column a: one match per row on each side.
+  const std::vector<int> widths = {2, 2};
+  const MergeSpec merge = MergeSpec::Make(
+      RowLayout(TableBit(0), widths), RowLayout(TableBit(1), widths),
+      RowLayout(TableBit(0) | TableBit(1), widths), widths);
+  for (auto _ : state) {
+    MgjnOp join(
+        std::make_unique<SortOp>(Scan(), std::vector<SortKey>{{0, false}},
+                                 TableBit(0)),
+        std::make_unique<SortOp>(
+            std::make_unique<TableScanOp>(&TestTable(), 1,
+                                          std::vector<ResolvedPredicate>{}),
+            std::vector<SortKey>{{0, false}}, TableBit(1)),
+        {0}, {0}, merge, TableBit(0) | TableBit(1));
+    benchmark::DoNotOptimize(Drain(&join, state.range(0)));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_MgjnOverTwoSorts)->Arg(1)->Arg(1024);
+
+void BM_ScanWithWorkBound(benchmark::State& state) {
+  for (auto _ : state) {
+    WorkBoundOp bound(Scan(), /*work_budget=*/1e18, TableBit(0));
+    benchmark::DoNotOptimize(Drain(&bound, state.range(0)));
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+}
+BENCHMARK(BM_ScanWithWorkBound)->Arg(1)->Arg(1024);
 
 }  // namespace
 }  // namespace popdb

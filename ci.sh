@@ -255,8 +255,9 @@ else
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/runtime_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/net_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/dist_test
-  # The executor: held batches, read-ahead reconciliation, pooled batch
-  # columns, morsel buffers and the batch sink.
+  # The executor: held batches and one-row batches read in place, the
+  # HSJN probe cursor, pooled batch columns, morsel buffers and the batch
+  # sink.
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/operator_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/extensions_test
   ASAN_OPTIONS="halt_on_error=1" ./build-asan/tests/morsel_test

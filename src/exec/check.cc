@@ -1,12 +1,29 @@
 #include "exec/check.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
 #include "common/status.h"
 
 namespace popdb {
+
+namespace {
+
+/// Rows a checkpoint that has counted `count` rows may take in with its
+/// next pull, when its next decision falls on row `decision_row` (infinite
+/// when the only decision left is at EOF): the first row and the decision
+/// row each arrive alone, as at batch size 1 — the event records the work
+/// position of the one, and the consumers above have charged every row
+/// before the other — and no pull exceeds the bound `received` from above.
+int64_t RowsBeforeDecision(double decision_row, int64_t count,
+                           int64_t received) {
+  const double before = decision_row - static_cast<double>(count) - 1.0;
+  if (count == 0 || before < 1.0) return 1;
+  if (before >= static_cast<double>(received)) return received;
+  return static_cast<int64_t>(before);
+}
+
+}  // namespace
 
 CheckOp::CheckOp(std::unique_ptr<Operator> child, CheckSpec spec)
     : Operator(child->table_set()), child_(std::move(child)), spec_(spec) {}
@@ -57,49 +74,25 @@ ExecStatus CheckOp::Fire(ExecContext* ctx, bool exact) {
 }
 
 ExecStatus CheckOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  // For an enforced upper bound, clamp the child's batch target to the
-  // rows remaining before the violation threshold (count > hi first holds
-  // at floor(hi) + 1): a child that honors its target never produces past
-  // the row batch size 1 would abort on, so a violation lands on the final
-  // row of the pulled batch. Observation mode and pure lower bounds never
-  // truncate, so they pass full batches through unclamped.
-  const bool enforced_hi =
-      spec_.enabled && !spec_.observe_only &&
-      spec_.hi != std::numeric_limits<double>::infinity();
-  const int64_t full_target = ctx->batch_rows;
-  if (enforced_hi) {
-    const double remaining =
-        std::floor(spec_.hi) + 1.0 - static_cast<double>(count_);
-    if (remaining < static_cast<double>(full_target)) {
-      ctx->batch_rows =
-          remaining > 1.0 ? static_cast<int64_t>(remaining) : 1;
-    }
-  }
-  const ExecStatus s = child_->NextBatch(ctx, out);
-  ctx->batch_rows = full_target;
+  // Until the event is recorded, the child is bounded to the rows before
+  // the decision (count > hi first holds at floor(hi) + 1), so the
+  // violating row arrives alone.
+  const ExecStatus s =
+      spec_.enabled && !event_recorded_
+          ? PullWithin(child_.get(), ctx, out,
+                       RowsBeforeDecision(std::floor(spec_.hi) + 1.0, count_,
+                                          ctx->rows_to_decision))
+          : child_->NextBatch(ctx, out);
   if (s == ExecStatus::kRow) {
     const int64_t n = out->ActiveRows();
-    if (count_ == 0 && n > 0) work_first_ = ctx->work;
-    const int64_t before = count_;
-    if (spec_.enabled && static_cast<double>(before + n) > spec_.hi) {
-      // Fire on the first row that pushes the count past hi, emitting only
-      // the rows before it, and report the count through the violating
-      // row. With the clamp above that row is the batch's final one unless
-      // the child over-produced past its target; the child reconciles the
-      // rows it produced or read ahead past the violation.
-      int64_t keep = static_cast<int64_t>(std::floor(spec_.hi)) - before;
-      if (keep < 0) keep = 0;
-      if (keep > n - 1) keep = n - 1;
-      count_ = before + keep + 1;
-      const ExecStatus fired = Fire(ctx, /*exact=*/false);
-      if (fired == ExecStatus::kReoptimize) {
-        child_->ReconcileAbort(n - keep - 1);
-        out->TruncateActive(keep);
-        return FlushOrStatus(out, ExecStatus::kReoptimize);
-      }
-      // Observation mode: the event is recorded; the full batch streams on.
+    if (count_ == 0) work_first_ = ctx->work;
+    count_ += n;
+    if (spec_.enabled && static_cast<double>(count_) > spec_.hi &&
+        Fire(ctx, /*exact=*/false) == ExecStatus::kReoptimize) {
+      POPDB_DCHECK(n == 1);
+      return ExecStatus::kReoptimize;  // The violating row is not emitted.
     }
-    count_ = before + n;
+    // Observation mode records the event and streams the batch on.
     return ExecStatus::kRow;
   }
   if (s == ExecStatus::kEof) {
@@ -161,25 +154,18 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
   if (s != ExecStatus::kOk) return s;
   if (!spec_.enabled) return ExecStatus::kOk;
   // Buffer rows ("like a valve", Section 3.3) until the outcome is known.
-  // The child's batch target is clamped to the rows remaining before the
-  // next decision point — the violation threshold for a finite upper
-  // bound, the release count for a [lo, inf) valve — so the drain fires
-  // or releases at exactly the row batch size 1 would. Observation mode
-  // drains a row at a time so its event's work positions stay row-exact.
+  // The child is bounded to the rows before the next decision — the
+  // violation row for a finite upper bound, the release row for a [lo, inf)
+  // valve — so the drain fires or releases on exactly the row batch size 1
+  // would, also in observation mode.
   const bool finite_hi = spec_.hi != std::numeric_limits<double>::infinity();
-  const int64_t full_target = ctx->batch_rows;
-  const int64_t drain_target = spec_.observe_only ? 1 : full_target;
+  const double decision_row =
+      finite_hi ? std::floor(spec_.hi) + 1.0 : std::ceil(spec_.lo);
   RowBatch b;
   while (true) {
-    const double stop =
-        (finite_hi ? std::floor(spec_.hi) + 1.0 : spec_.lo) -
-        static_cast<double>(count_);
-    ctx->batch_rows =
-        stop < static_cast<double>(drain_target)
-            ? (stop > 1.0 ? static_cast<int64_t>(stop) : 1)
-            : drain_target;
-    const ExecStatus cs = child_->NextBatch(ctx, &b);
-    ctx->batch_rows = full_target;
+    const ExecStatus cs = PullWithin(
+        child_.get(), ctx, &b,
+        RowsBeforeDecision(decision_row, count_, ctx->rows_to_decision));
     if (cs == ExecStatus::kEof) {
       child_eof_ = true;
       if (static_cast<double>(count_) < spec_.lo) {
@@ -190,38 +176,19 @@ ExecStatus BufCheckOp::OpenImpl(ExecContext* ctx) {
       return ExecStatus::kOk;
     }
     if (cs != ExecStatus::kRow) return cs;
-    const int64_t n = b.ActiveRows();
     if (count_ == 0) work_first_ = ctx->work;
-    const int64_t before = count_;
-    count_ = before + n;
-    if (static_cast<double>(count_) > spec_.hi) {
-      // Count through the violating row (a lower bound on the true
-      // cardinality); nothing was emitted. The child reconciles the rows
-      // it produced or read ahead past the violation.
-      int64_t keep = static_cast<int64_t>(std::floor(spec_.hi)) - before;
-      if (keep < 0) keep = 0;
-      if (keep > n - 1) keep = n - 1;
-      count_ = before + keep + 1;
-      if (Fire(ctx, /*exact=*/false) == ExecStatus::kReoptimize) {
-        child_->ReconcileAbort(n - keep - 1);
-        return ExecStatus::kReoptimize;
-      }
-      // Observation mode: the event holds the count at the violation; the
-      // whole batch is kept and the valve opens.
-      count_ = before + n;
-      b.MoveRowsInto(&buffer_);
-      return ExecStatus::kOk;
+    count_ += b.ActiveRows();
+    // A violation counts through the violating row (a lower bound on the
+    // true cardinality); nothing was emitted.
+    if (static_cast<double>(count_) > spec_.hi &&
+        Fire(ctx, /*exact=*/false) == ExecStatus::kReoptimize) {
+      return ExecStatus::kReoptimize;
     }
     b.MoveRowsInto(&buffer_);
+    if (event_recorded_) return ExecStatus::kOk;  // Observed violation.
     if (!finite_hi && static_cast<double>(count_) >= spec_.lo) {
-      // [lo, inf): success is certain; release the valve. The event holds
-      // the count at the release row, also when the child produced past
-      // the clamp.
-      const int64_t total = count_;
-      count_ = std::max<int64_t>(
-          before + 1, static_cast<int64_t>(std::ceil(spec_.lo)));
+      // [lo, inf): success is certain; release the valve.
       RecordEvent(ctx, /*fired=*/false);
-      count_ = total;
       return ExecStatus::kOk;
     }
   }
@@ -263,7 +230,6 @@ WorkBoundOp::WorkBoundOp(std::unique_ptr<Operator> child, double work_budget,
                          TableSet edge_set)
     : Operator(child->table_set()),
       child_(std::move(child)),
-      input_(child_.get()),
       work_budget_(work_budget),
       edge_set_(edge_set) {}
 
@@ -273,28 +239,20 @@ ExecStatus WorkBoundOp::OpenImpl(ExecContext* ctx) {
 }
 
 ExecStatus WorkBoundOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  int64_t target = BatchTarget(ctx);
-  out->Clear();
-  Row row;
-  while (out->num_rows < target) {
-    const ExecStatus s = input_.PullRow(ctx, &row);
-    if (s != ExecStatus::kRow) return FlushOrStatus(out, s);
-    ++count_;
-    if (static_cast<double>(ctx->work) > work_budget_) {
-      ctx->reopt.triggered = true;
-      ctx->reopt.edge_set = edge_set_;
-      ctx->reopt.observed_rows = count_;
-      ctx->reopt.exact = false;
-      ctx->reopt.flavor = CheckFlavor::kWorkBound;
-      ctx->reopt.check_lo = 0;
-      ctx->reopt.check_hi = work_budget_;
-      child_->ReconcileAbort(input_.held());
-      return FlushOrStatus(out, ExecStatus::kReoptimize);
-    }
-    out->AppendRowMove(std::move(row));
-    // The first row reveals the output width; tighten the target to the
-    // width-aware cap (never above the context target).
-    if (out->num_rows == 1) target = BatchTarget(ctx, out->width());
+  // Every row is a decision: it is read and emitted alone, so the work of
+  // the subtree and of the consumers above is counted row by row.
+  const ExecStatus s = PullWithin(child_.get(), ctx, out, 1);
+  if (s != ExecStatus::kRow) return s;
+  ++count_;
+  if (static_cast<double>(ctx->work) > work_budget_) {
+    ctx->reopt.triggered = true;
+    ctx->reopt.edge_set = edge_set_;
+    ctx->reopt.observed_rows = count_;
+    ctx->reopt.exact = false;
+    ctx->reopt.flavor = CheckFlavor::kWorkBound;
+    ctx->reopt.check_lo = 0;
+    ctx->reopt.check_hi = work_budget_;
+    return ExecStatus::kReoptimize;  // The row over budget is not emitted.
   }
   return ExecStatus::kRow;
 }

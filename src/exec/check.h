@@ -21,10 +21,9 @@ class CheckOp : public Operator {
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
   /// Batch-boundary evaluation: counts whole batches (one comparison per
-  /// batch). For an enforced upper bound the child's batch target is
-  /// clamped to the rows remaining before the violation threshold, so the
-  /// violating row is the last one pulled and the check fires with exactly
-  /// the observed cardinality of batch size 1 above any child.
+  /// batch). Until its event is recorded the check bounds its subtree to
+  /// the rows left before the decision (ExecContext::rows_to_decision), so
+  /// it decides on the row, and at the work position, of batch size 1.
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override { child_->Close(ctx); }
   const char* name() const override { return "CHECK"; }
@@ -88,9 +87,10 @@ class BufCheckOp : public Operator {
 /// paper's closing observation that CHECK can guard "parameters other than
 /// the cardinality ... such as memory consumption, execution time, or even
 /// the overall system load" (Section 8). Compares ExecContext::work
-/// against `work_budget` on every row and fires at most once. The child is
-/// read one row at a time (RowPuller), so its subtree charges work row by
-/// row and the budget is crossed on the same row at every batch size.
+/// against `work_budget` on every row and fires at most once. Rows are read
+/// and emitted one at a time, so the work of the subtree and of the
+/// consumers above is charged row by row and the budget is crossed on the
+/// same row at every batch size.
 class WorkBoundOp : public Operator {
  public:
   WorkBoundOp(std::unique_ptr<Operator> child, double work_budget,
@@ -106,7 +106,6 @@ class WorkBoundOp : public Operator {
 
  private:
   std::unique_ptr<Operator> child_;
-  RowPuller input_;
   double work_budget_;
   TableSet edge_set_;
   int64_t count_ = 0;
@@ -129,12 +128,6 @@ class CheckMaterializedOp : public Operator {
   const char* name() const override { return "CHECKM"; }
   std::vector<const Operator*> children() const override {
     return {child_.get()};
-  }
-  /// Pure 1:1 forwarder above a materialization: a truncation adjusts
-  /// both this wrapper and the materializing child.
-  void ReconcileAbort(int64_t unconsumed) override {
-    Operator::ReconcileAbort(unconsumed);
-    child_->ReconcileAbort(unconsumed);
   }
 
  private:

@@ -42,7 +42,7 @@ ExecStatus NljnOp::OpenImpl(ExecContext* ctx) {
     inner_.snapshot = inner_.table->Snapshot();
   }
   outer_valid_ = false;
-  outer_batch_valid_ = false;
+  outer_batch_.Clear();
   outer_idx_ = 0;
   return outer_->Open(ctx);
 }
@@ -60,26 +60,23 @@ void NljnOp::StartProbe(ExecContext* ctx, const Value* index_key) {
 }
 
 ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  // Pull outer batches, probe each active row (one work unit and one loop
-  // per outer row, one work unit per visible candidate), and emit merged
-  // rows until the output batch fills. The current outer row is read in
-  // place from the held batch (`outer_idx_`) — never materialized
-  // row-major. An outer row's candidate cursor survives across output
-  // batches; an abort from the outer subtree can only arrive once the held
-  // batch is fully probed, so every match found before it is flushed ahead
-  // of the abort status.
+  // Pull outer batches (one row at a time while a decision is pending
+  // above), probe each active row (one work unit and one loop per outer
+  // row, one work unit per visible candidate), and emit merged rows until
+  // the output batch fills. The current outer row is read in place from
+  // the held batch (`outer_idx_`) — never materialized row-major. An outer
+  // row's candidate cursor survives across output batches. The output is
+  // returned before the next outer pull, so an abort from the outer
+  // subtree arrives with every earlier match delivered.
   const int64_t target =
       BatchTarget(ctx, static_cast<int>(merge_.sources.size()));
   out->Reset(static_cast<int>(merge_.sources.size()));
   while (true) {
     if (!outer_valid_) {
-      if (!outer_batch_valid_ || outer_idx_ >= outer_batch_.ActiveRows()) {
-        const ExecStatus s = outer_->NextBatch(ctx, &outer_batch_);
-        if (s != ExecStatus::kRow) {
-          outer_batch_valid_ = false;
-          return FlushOrStatus(out, s);
-        }
-        outer_batch_valid_ = true;
+      if (outer_idx_ >= outer_batch_.ActiveRows()) {
+        if (out->num_rows > 0) return ExecStatus::kRow;
+        const ExecStatus s = PullInput(outer_.get(), ctx, &outer_batch_);
+        if (s != ExecStatus::kRow) return s;
         outer_idx_ = 0;
       }
       outer_valid_ = true;
@@ -128,14 +125,6 @@ ExecStatus NljnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     outer_valid_ = false;  // Candidates exhausted; next outer row.
     ++outer_idx_;
   }
-}
-
-void NljnOp::ReconcileAbort(int64_t unconsumed) {
-  Operator::ReconcileAbort(unconsumed);
-  if (!outer_batch_valid_ || !outer_valid_) return;
-  const int64_t ahead = outer_batch_.ActiveRows() - outer_idx_ - 1;
-  if (ahead > 0) outer_->ReconcileAbort(ahead);
-  outer_batch_valid_ = false;
 }
 
 void NljnOp::CloseImpl(ExecContext* ctx) { outer_->Close(ctx); }
@@ -334,70 +323,52 @@ ExecStatus HsjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     }
     return out->num_rows > 0 ? ExecStatus::kRow : ExecStatus::kEof;
   }
-  // Streaming in-memory probe: one probe batch in, all its matches out.
-  // The output batch is gathered column-wise straight from the probe batch
-  // and the build rows (no per-match row materialization).
-  out->Reset(static_cast<int>(merge_.sources.size()));
-  last_out_rows_ = 0;
-  Row key;
+  // Streaming in-memory probe: the (probe row, match) cursor emits until
+  // the batch target, gathered column-wise straight from the probe batch
+  // and the build rows (no per-match row materialization). A probe row is
+  // charged only when another output row is wanted, and the output is
+  // returned before the next probe pull.
+  const int width = static_cast<int>(merge_.sources.size());
+  const int64_t target = BatchTarget(ctx, width);
+  out->Reset(width);
   while (true) {
-    const ExecStatus s = probe_->NextBatch(ctx, &probe_batch_);
-    if (s != ExecStatus::kRow) return s;
-    const int64_t n = probe_batch_.ActiveRows();
-    for (int64_t i = 0; i < n; ++i) {
-      if (ctx->CancelPending()) {
-        return FlushOrStatus(out, ExecStatus::kCancelled);
+    for (; matches_ != nullptr && match_pos_ < matches_->size();
+         ++match_pos_) {
+      if (out->num_rows >= target) return ExecStatus::kRow;
+      const Row& brow = build_rows_[(*matches_)[match_pos_]];
+      for (int c = 0; c < width; ++c) {
+        const auto& [from_left, pos] = merge_.sources[static_cast<size_t>(c)];
+        out->PutCopy(c, out->num_rows,
+                     from_left ? probe_batch_.At(pos, probe_row_)
+                               : brow[static_cast<size_t>(pos)]);
       }
-      ++ctx->work;
-      const std::vector<size_t>* matches = ProbeMatches(i, &key);
-      if (matches == nullptr) continue;
-      for (size_t bi : *matches) {
-        const Row& brow = build_rows_[bi];
-        for (size_t c = 0; c < merge_.sources.size(); ++c) {
-          const auto& [from_left, pos] = merge_.sources[c];
-          out->PutCopy(static_cast<int>(c), out->num_rows,
-                       from_left ? probe_batch_.At(pos, i)
-                                 : brow[static_cast<size_t>(pos)]);
-        }
-        ++out->num_rows;
-      }
+      ++out->num_rows;
     }
-    if (out->num_rows > 0) {
-      last_out_rows_ = out->num_rows;
-      return ExecStatus::kRow;
+    if (out->num_rows >= target) return ExecStatus::kRow;
+    if (next_probe_ >= probe_batch_.ActiveRows()) {
+      if (out->num_rows > 0) return ExecStatus::kRow;
+      const ExecStatus s = PullInput(probe_.get(), ctx, &probe_batch_);
+      if (s != ExecStatus::kRow) return s;
+      next_probe_ = 0;
     }
+    if (ctx->CancelPending()) {
+      return FlushOrStatus(out, ExecStatus::kCancelled);
+    }
+    ++ctx->work;
+    probe_row_ = next_probe_++;
+    matches_ = ProbeMatches(probe_row_);
+    match_pos_ = 0;
   }
 }
 
-const std::vector<size_t>* HsjnOp::ProbeMatches(int64_t i, Row* key) const {
-  key->clear();
-  key->reserve(probe_keys_.size());
-  for (int pos : probe_keys_) key->push_back(probe_batch_.At(pos, i));
+const std::vector<size_t>* HsjnOp::ProbeMatches(int64_t i) {
+  probe_key_.clear();
+  for (int pos : probe_keys_) probe_key_.push_back(probe_batch_.At(pos, i));
   const KeyMap& map =
-      partitioned_ ? part_maps_[HashRow(*key) & (kBuildPartitions - 1)]
+      partitioned_ ? part_maps_[HashRow(probe_key_) & (kBuildPartitions - 1)]
                    : map_;
-  auto it = map.find(*key);
+  auto it = map.find(probe_key_);
   return it == map.end() ? nullptr : &it->second;
-}
-
-void HsjnOp::ReconcileAbort(int64_t unconsumed) {
-  Operator::ReconcileAbort(unconsumed);
-  if (!in_memory_mode_ || last_out_rows_ == 0) return;
-  // Every output row of the last batch came from the last probe batch.
-  // Find the probe row that produced the last consumed output row; the
-  // probe rows after it were pulled ahead of need.
-  const int64_t consumed = last_out_rows_ - unconsumed;
-  const int64_t n = probe_batch_.ActiveRows();
-  int64_t emitted = 0;
-  int64_t last = 0;
-  Row key;
-  for (; last < n; ++last) {
-    const std::vector<size_t>* matches = ProbeMatches(last, &key);
-    if (matches != nullptr) emitted += static_cast<int64_t>(matches->size());
-    if (emitted >= consumed) break;
-  }
-  if (last + 1 < n) probe_->ReconcileAbort(n - last - 1);
-  last_out_rows_ = 0;
 }
 
 void HsjnOp::CloseImpl(ExecContext* ctx) {
@@ -423,14 +394,14 @@ MgjnOp::MgjnOp(std::unique_ptr<Operator> left,
       right_(std::move(right)),
       left_keys_(std::move(left_keys)),
       right_keys_(std::move(right_keys)),
-      merge_(std::move(merge)),
-      left_in_(left_.get()),
-      right_in_(right_.get()) {}
+      merge_(std::move(merge)) {}
 
-int MgjnOp::CompareKeys(const Row& l, const Row& r) const {
+int MgjnOp::CompareKeys(const Row* group_row) const {
   for (size_t k = 0; k < left_keys_.size(); ++k) {
-    const int c = l[static_cast<size_t>(left_keys_[k])].Compare(
-        r[static_cast<size_t>(right_keys_[k])]);
+    const int pos = right_keys_[k];
+    const int c = left_row_.At(left_keys_[k], 0).Compare(
+        group_row != nullptr ? (*group_row)[static_cast<size_t>(pos)]
+                             : right_row_.At(pos, 0));
     if (c != 0) return c;
   }
   return 0;
@@ -451,39 +422,37 @@ ExecStatus MgjnOp::OpenImpl(ExecContext* ctx) {
 }
 
 ExecStatus MgjnOp::AdvanceLeft(ExecContext* ctx) {
-  const ExecStatus s = left_in_.PullRow(ctx, &left_row_);
+  const ExecStatus s = PullWithin(left_.get(), ctx, &left_row_, 1);
   left_valid_ = s == ExecStatus::kRow;
   if (left_valid_) ++ctx->work;
   return s;
 }
 
 ExecStatus MgjnOp::AdvanceRight(ExecContext* ctx) {
-  const ExecStatus s = right_in_.PullRow(ctx, &right_row_);
+  const ExecStatus s = PullWithin(right_.get(), ctx, &right_row_, 1);
   right_valid_ = s == ExecStatus::kRow;
   if (right_valid_) ++ctx->work;
   return s;
 }
 
 ExecStatus MgjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
-  const int64_t target =
-      BatchTarget(ctx, static_cast<int>(merge_.sources.size()));
-  out->Clear();
+  const int width = static_cast<int>(merge_.sources.size());
+  const int64_t target = BatchTarget(ctx, width);
+  out->Reset(width);
   while (out->num_rows < target) {
     if (ctx->CancelPending()) {
       return FlushOrStatus(out, ExecStatus::kCancelled);
     }
     if (in_group_) {
       if (group_pos_ < right_group_.size()) {
-        out->AppendRowMove(merge_.Merge(left_row_, right_group_[group_pos_]));
-        ++group_pos_;
+        merge_.MergeBatchInto(left_row_, 0, right_group_[group_pos_++], out);
         continue;
       }
       // Current left row finished its group; see if the next left row has
       // the same key and can reuse the buffered group.
       const ExecStatus s = AdvanceLeft(ctx);
       if (IsAbortStatus(s)) return FlushOrStatus(out, s);
-      if (left_valid_ &&
-          CompareKeys(left_row_, right_group_.front()) == 0) {
+      if (left_valid_ && CompareKeys(&right_group_.front()) == 0) {
         group_pos_ = 0;
         continue;
       }
@@ -494,7 +463,7 @@ ExecStatus MgjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
       // An input is exhausted (or returned a non-row status earlier).
       return FlushOrStatus(out, ExecStatus::kEof);
     }
-    const int cmp = CompareKeys(left_row_, right_row_);
+    const int cmp = CompareKeys(nullptr);
     if (cmp < 0) {
       const ExecStatus s = AdvanceLeft(ctx);
       if (IsAbortStatus(s)) return FlushOrStatus(out, s);
@@ -506,14 +475,12 @@ ExecStatus MgjnOp::NextBatchImpl(ExecContext* ctx, RowBatch* out) {
     } else {
       // Buffer the full right-side key group.
       right_group_.clear();
-      right_group_.push_back(right_row_);
-      while (true) {
+      do {
+        right_group_.emplace_back();
+        right_row_.MaterializeRow(0, &right_group_.back());
         const ExecStatus s = AdvanceRight(ctx);
         if (IsAbortStatus(s)) return FlushOrStatus(out, s);
-        if (!right_valid_) break;
-        if (CompareKeys(left_row_, right_row_) != 0) break;
-        right_group_.push_back(right_row_);
-      }
+      } while (right_valid_ && CompareKeys(nullptr) == 0);
       in_group_ = true;
       group_pos_ = 0;
     }

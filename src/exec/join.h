@@ -66,9 +66,6 @@ class NljnOp : public Operator {
   ExecStatus OpenImpl(ExecContext* ctx) override;
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
-  /// Also reconciles the outer rows of the held outer batch past the one
-  /// being probed: batch size 1 would never have pulled them.
-  void ReconcileAbort(int64_t unconsumed) override;
   const char* name() const override { return "NLJN"; }
   std::vector<const Operator*> children() const override {
     return {outer_.get()};
@@ -101,7 +98,6 @@ class NljnOp : public Operator {
   // one batch holds continues where it stopped.
   bool outer_valid_ = false;
   RowBatch outer_batch_;
-  bool outer_batch_valid_ = false;
   int64_t outer_idx_ = 0;
 };
 
@@ -128,15 +124,11 @@ class HsjnOp : public Operator {
          bool offer_build_for_reuse);
 
   ExecStatus OpenImpl(ExecContext* ctx) override;
-  /// The in-memory probe emits every match of each probe row it pulls, so
-  /// a batch can exceed its target.
+  /// The in-memory probe keeps a (probe row, match) cursor, so a probe row
+  /// with more matches than one batch holds continues in the next batch.
   ExecStatus NextBatchImpl(ExecContext* ctx, RowBatch* out) override;
   void CloseImpl(ExecContext* ctx) override;
   bool HarvestInfo(HarvestedResult* out) const override;
-  /// Besides its own over-produced rows, reconciles the probe rows of the
-  /// last probe batch that lie past the one whose match was consumed last:
-  /// batch size 1 would never have pulled them.
-  void ReconcileAbort(int64_t unconsumed) override;
   const char* name() const override { return "HSJN"; }
   std::vector<const Operator*> children() const override {
     return {probe_.get(), build_.get()};
@@ -148,8 +140,8 @@ class HsjnOp : public Operator {
   Row BuildKey(const Row& row) const;
   Row ProbeKey(const Row& row) const;
   /// In-memory build rows matching the i-th active row of probe_batch_
-  /// (null if none); `key` is scratch.
-  const std::vector<size_t>* ProbeMatches(int64_t i, Row* key) const;
+  /// (null if none).
+  const std::vector<size_t>* ProbeMatches(int64_t i);
   /// Recursively partitions build/probe rows until each build partition
   /// fits in memory, charging one work unit per row per level.
   ExecStatus Join(ExecContext* ctx, std::vector<Row>* build,
@@ -180,14 +172,23 @@ class HsjnOp : public Operator {
   KeyMap map_;
   std::vector<KeyMap> part_maps_;
   bool partitioned_ = false;
-  RowBatch probe_batch_;        ///< Last probe batch pulled.
-  int64_t last_out_rows_ = 0;  ///< Rows of the last in-memory output batch.
+  RowBatch probe_batch_;  ///< Last probe batch pulled.
+  // The cursor: the active row of probe_batch_ being joined, its build
+  // matches (null if none), the next match to emit and the next row.
+  int64_t probe_row_ = 0;
+  const std::vector<size_t>* matches_ = nullptr;
+  size_t match_pos_ = 0;
+  int64_t next_probe_ = 0;
+  Row probe_key_;  ///< Scratch for ProbeMatches.
 };
 
 /// Merge join over two inputs sorted on the join keys (the optimizer
 /// inserts SortOp children). Buffers each right-side key group to emit the
 /// cross product with equal left rows. Both inputs are read one row at a
-/// time (RowPuller), so neither sorted input is read ahead of the merge.
+/// time, in place in a one-row batch, so neither sorted input is read
+/// ahead of the merge. Unlike the other joins it fills its output across
+/// input pulls: its inputs are sorted materializations, which decide
+/// nothing while it reads.
 class MgjnOp : public Operator {
  public:
   MgjnOp(std::unique_ptr<Operator> left, std::unique_ptr<Operator> right,
@@ -203,7 +204,9 @@ class MgjnOp : public Operator {
   }
 
  private:
-  int CompareKeys(const Row& l, const Row& r) const;
+  /// Compares the held left row's key with `group_row`'s, or with the
+  /// held right row's when `group_row` is null.
+  int CompareKeys(const Row* group_row) const;
   ExecStatus AdvanceLeft(ExecContext* ctx);
   ExecStatus AdvanceRight(ExecContext* ctx);
 
@@ -212,10 +215,8 @@ class MgjnOp : public Operator {
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   MergeSpec merge_;
-  RowPuller left_in_;
-  RowPuller right_in_;
 
-  Row left_row_, right_row_;
+  RowBatch left_row_, right_row_;  ///< Each input's one-row batch.
   bool left_valid_ = false, right_valid_ = false;
   std::vector<Row> right_group_;  ///< Current right key group.
   size_t group_pos_ = 0;

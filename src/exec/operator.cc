@@ -20,22 +20,6 @@ const char* CheckFlavorName(CheckFlavor flavor) {
   return "?";
 }
 
-ExecStatus RowPuller::PullRow(ExecContext* ctx, Row* out) {
-  if (pos_ >= batch_.ActiveRows()) {
-    const int64_t full_target = ctx->batch_rows;
-    ctx->batch_rows = 1;
-    const ExecStatus s = child_->NextBatch(ctx, &batch_);
-    ctx->batch_rows = full_target;
-    pos_ = 0;
-    if (s != ExecStatus::kRow) {
-      batch_.Clear();
-      return s;
-    }
-  }
-  batch_.MaterializeRow(pos_++, out);
-  return ExecStatus::kRow;
-}
-
 ExecStatus RunToCompletion(Operator* root, ExecContext* ctx,
                            std::vector<Row>* out_rows) {
   ExecStatus status = root->Open(ctx);

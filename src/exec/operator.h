@@ -3,12 +3,14 @@
 
 #include <chrono>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cancel.h"
 #include "common/span.h"
+#include "common/status.h"
 #include "common/value.h"
 #include "exec/batch.h"
 #include "exec/layout.h"
@@ -97,6 +99,10 @@ struct HarvestedResult {
 class Operator;
 class TaskRunner;
 
+/// ExecContext::rows_to_decision when no decision is pending.
+inline constexpr int64_t kNoPendingDecision =
+    std::numeric_limits<int64_t>::max();
+
 /// Shared mutable state for one plan execution.
 struct ExecContext {
   /// Parameter marker bindings (by param_index).
@@ -146,12 +152,33 @@ struct ExecContext {
   int64_t morsels_dispatched = 0;
   int64_t parallel_work = 0;  ///< Work units spent inside morsel tasks.
 
-  /// Target rows per RowBatch exchanged between operators. <= 1 means
-  /// batches of one row, where every batch boundary is a row boundary:
-  /// the reference granularity that every other size must reproduce.
-  /// Consumers that need row-granular work accounting (MGJN, WORKBOUND)
-  /// clamp it to 1 for their subtrees through RowPuller.
+  /// Target rows per RowBatch exchanged between operators, for speed only.
+  /// <= 1 means batches of one row, where every batch boundary is a row
+  /// boundary: the reference granularity that every other size must
+  /// reproduce in results, work and feedback.
   int64_t batch_rows = 1;
+
+  /// Rows the operator being pulled may emit before a decision pending
+  /// above it (a checkpoint's first or deciding row, a WORKBOUND or MGJN
+  /// row-by-row read); kNoPendingDecision when none is pending. It caps
+  /// every batch target. With it, one pull rule makes the work and the
+  /// feedback of every batch size equal batch size 1's:
+  ///  - no operator emits more rows than its target, and no operator
+  ///    reads an input row that batch size 1 would not have read before
+  ///    the pending decision: operators that emit at most one row per input
+  ///    row (scan, filter, project, CHECKM, RID-track, anti-compensate)
+  ///    pass the bound on; operators that may emit several (the HSJN
+  ///    probe, the NLJN outer) then pull one input row at a time
+  ///    (Operator::PullInput); checkpoints lower it to the rows before
+  ///    their decision, WORKBOUND and MGJN to 1;
+  ///  - an operator returns the rows it holds before it pulls its next
+  ///    input batch, so every row below a decision was charged by the
+  ///    consumers above it, as at batch size 1 (MGJN is exempt: it reads
+  ///    sorted materializations, which decide nothing while it reads);
+  ///  - Open runs with no decision pending, so the materializing drains
+  ///    (SORT, TEMP, the HSJN build, hash aggregation, the morsel
+  ///    exchange) read to EOF as at batch size 1.
+  int64_t rows_to_decision = kNoPendingDecision;
 
   /// Strided poll: checks the token every kCancelPollStride calls so the
   /// per-row cost is a decrement on the fast path. Returns true once the
@@ -170,9 +197,9 @@ struct ExecContext {
 };
 
 /// Per-operator execution counters and (sampled) wall-clock timings, read
-/// by EXPLAIN ANALYZE after execution. Pulls of small batches use strided
-/// clock reads — one measured call out of kTimingStride, scaled — so
-/// instrumentation is compiled-in but cheap even one row at a time.
+/// by EXPLAIN ANALYZE after execution. Pulls after small batches use
+/// strided clock reads — one measured call out of kTimingStride, scaled —
+/// so instrumentation is compiled-in but cheap even one row at a time.
 struct OperatorStats {
   int64_t next_calls = 0;  ///< Total NextBatch invocations (incl. EOF).
   int64_t open_ns = 0;     ///< Wall time inside Open (subtree included).
@@ -211,6 +238,7 @@ class Operator {
   /// Prepares the operator (and its subtree). May return kReoptimize when a
   /// checkpoint fires during eager materialization.
   ExecStatus Open(ExecContext* ctx) {
+    POPDB_DCHECK(ctx->rows_to_decision == kNoPendingDecision);
     const int64_t t0 = ClockNs();
     if (SpanTracer::Global().enabled()) span_start_us_ = SpanTracer::Global().NowUs();
     const ExecStatus s = OpenImpl(ctx);
@@ -219,11 +247,15 @@ class Operator {
   }
 
   /// Produces the next batch of rows into `*out`, the one way to pull rows
-  /// from an operator. Returns kRow with at least one active row, or a
-  /// terminal status (kEof, kReoptimize, kCancelled, kError). Statuses
-  /// raised mid-assembly after a non-empty prefix are delivered on the
-  /// following call, so rows produced before an abort are never lost.
-  /// After kEof the call must not be repeated.
+  /// from an operator. Returns kRow with at least one and at most
+  /// BatchTarget(ctx) active rows, or a terminal status (kEof, kReoptimize,
+  /// kCancelled, kError). Statuses raised mid-assembly after a non-empty
+  /// prefix are delivered on the following call, so rows produced before
+  /// an abort are never lost. After kEof the call must not be repeated.
+  ///
+  /// The target bound is asserted: with the pull rule of
+  /// ExecContext::rows_to_decision it makes the work and feedback of every
+  /// batch size equal batch size 1's.
   ExecStatus NextBatch(ExecContext* ctx, RowBatch* out) {
     ++stats_.next_calls;
     if (pending_batch_status_ != ExecStatus::kOk) {
@@ -234,11 +266,13 @@ class Operator {
     }
     const int64_t target = BatchTarget(ctx);
     out->reserve_hint = target;
-    // Batches of kTimingStride rows or more are timed on every call.
-    // Smaller ones (batch size 1, the row-granular pulls under MGJN and
-    // WORKBOUND) are timed one call in kTimingStride and scaled up, so a
-    // one-row pull pays an increment and a mask, not two clock reads.
-    const int64_t stride = target < kTimingStride ? kTimingStride : 1;
+    // A call is timed when the previous batch held kTimingStride rows or
+    // more (so is the first call). After smaller ones (batch size 1, pulls
+    // bounded by a pending decision, WORKBOUND's one-row batches) one call
+    // in kTimingStride is timed and scaled up, so a one-row pull pays an
+    // increment and a mask, not two clock reads.
+    const int64_t stride =
+        last_batch_rows_ < kTimingStride ? kTimingStride : 1;
     ExecStatus s;
     if ((stats_.next_calls & (stride - 1)) != 0) {
       s = NextBatchImpl(ctx, out);
@@ -247,25 +281,14 @@ class Operator {
       s = NextBatchImpl(ctx, out);
       stats_.next_ns += (ClockNs() - t0) * stride;
     }
+    last_batch_rows_ = s == ExecStatus::kRow ? out->ActiveRows() : 0;
     if (s == ExecStatus::kRow) {
-      rows_produced_ += out->ActiveRows();
+      POPDB_DCHECK(last_batch_rows_ <= target);
+      rows_produced_ += last_batch_rows_;
     } else if (s == ExecStatus::kEof) {
       eof_seen_ = true;
     }
     return s;
-  }
-
-  /// Reverses producer-side accounting for `unconsumed` trailing rows of
-  /// the last batch when a consumer aborts right after it (a CHECK firing
-  /// mid-batch). Enforced CHECKs clamp their child's batch target so the
-  /// aborting row is the last one pulled, but a child may over-produce
-  /// past its target (the in-memory HSJN probe emits every match of a
-  /// probe row); dropping the produced-row count keeps harvested feedback
-  /// identical to batch size 1 (the violating row itself stays consumed).
-  /// Called on every enforced abort, also with 0, so producers that read
-  /// ahead of their output can reconcile their own inputs.
-  virtual void ReconcileAbort(int64_t unconsumed) {
-    rows_produced_ -= unconsumed;
   }
 
   /// Releases resources. Must be safe to call after any status.
@@ -337,9 +360,11 @@ class Operator {
     return ExecStatus::kRow;
   }
 
-  /// Target active rows per produced batch.
+  /// Target active rows per produced batch: the batch size, capped by the
+  /// rows left before a pending decision.
   static int64_t BatchTarget(const ExecContext* ctx) {
-    return ctx->batch_rows > 1 ? ctx->batch_rows : 1;
+    const int64_t rows = ctx->batch_rows > 1 ? ctx->batch_rows : 1;
+    return rows < ctx->rows_to_decision ? rows : ctx->rows_to_decision;
   }
 
   /// Width-aware target: scales the context target down so one batch's
@@ -347,9 +372,31 @@ class Operator {
   /// Wide batches otherwise outgrow the cache between fill and
   /// consumption and the gather/scatter loops of vectorized operators go
   /// memory-bound; narrow batches keep the full row target. Never exceeds
-  /// the context target, so CHECK batch-target clamping stays exact.
+  /// the context target.
   static int64_t BatchTarget(const ExecContext* ctx, int width) {
     return CapBatchRowsForWidth(BatchTarget(ctx), width);
+  }
+
+  /// Pulls from `child` with ExecContext::rows_to_decision set to `bound`
+  /// for the call.
+  static ExecStatus PullWithin(Operator* child, ExecContext* ctx,
+                               RowBatch* out, int64_t bound) {
+    const int64_t received = ctx->rows_to_decision;
+    ctx->rows_to_decision = bound;
+    const ExecStatus s = child->NextBatch(ctx, out);
+    ctx->rows_to_decision = received;
+    return s;
+  }
+
+  /// The pull of an operator that may emit several rows per input row: one
+  /// input row at a time while a decision is pending above, so no input
+  /// row is read before batch size 1 would read it; full batches otherwise.
+  static ExecStatus PullInput(Operator* child, ExecContext* ctx,
+                              RowBatch* out) {
+    if (ctx->rows_to_decision == kNoPendingDecision) {
+      return child->NextBatch(ctx, out);
+    }
+    return PullWithin(child, ctx, out, 1);
   }
 
   /// Mutable counters for subclass-specific detail (loops/partitions/
@@ -382,31 +429,7 @@ class Operator {
   int64_t span_start_us_ = -1;
   bool span_emitted_ = false;
   ExecStatus pending_batch_status_ = ExecStatus::kOk;
-};
-
-/// Row-granular pull over a child's batch stream, for operators whose
-/// decisions depend on ctx->work row by row (MGJN, WORKBOUND). Each pull
-/// runs the child with the context batch target clamped to one row, so
-/// the child's whole subtree charges work row by row and a sorted input is
-/// never read ahead. A child that emits more than its target (the
-/// in-memory HSJN probe emits every match of a probe row) is served from
-/// the held batch before the next pull.
-class RowPuller {
- public:
-  explicit RowPuller(Operator* child) : child_(child) {}
-
-  /// Copies the child's next row into `*out` and returns kRow, or returns
-  /// the child's terminal status.
-  ExecStatus PullRow(ExecContext* ctx, Row* out);
-
-  /// Rows pulled from the child but not yet handed out; a consumer that
-  /// aborts passes them to the child's ReconcileAbort.
-  int64_t held() const { return batch_.ActiveRows() - pos_; }
-
- private:
-  Operator* child_;
-  RowBatch batch_;
-  int64_t pos_ = 0;  ///< Next active row of batch_ to hand out.
+  int64_t last_batch_rows_ = kTimingStride;  ///< Rows of the last batch.
 };
 
 /// Runs `root` to completion, appending produced rows to `*out_rows`.

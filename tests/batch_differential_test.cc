@@ -9,9 +9,14 @@
 //     fired or not) — i.e. batch-boundary checks decide exactly like
 //     per-row checks,
 //   - the number of re-optimizations and attempts,
-//   - the feedback cardinalities harvested into the cross-query store.
-// The plan-cache execution path is covered by a dedicated test below; the
-// dist subplan path has its own differential in dist_test.cc.
+//   - the feedback cardinalities harvested into the cross-query store,
+//   - the work units of every attempt and the work positions of every
+//     CHECK evaluation (first row and decision, the axis of Figure 14).
+// Each corpus runs with the default checkpoint flavors, with the eager
+// flavors (ECB, ECWC, ECDC: streaming CHECKs above joins and filters) and
+// with a WORKBOUND budget. The plan-cache execution path is covered by a
+// dedicated test below; the dist subplan path has its own differential in
+// dist_test.cc.
 //
 // Set POPDB_EQUIV_LIGHT=1 to run a reduced corpus (used by the TSan CI
 // stage, where the full sweep is too slow).
@@ -53,12 +58,33 @@ struct Outcome {
   std::vector<std::tuple<TableSet, int, int, int64_t, bool>> check_events;
   /// Learned cardinalities by subplan signature: (exact, lower_bound).
   std::map<std::string, std::pair<double, double>> learned;
+  /// Work units per attempt.
+  std::vector<int64_t> attempt_work;
+  /// (work_first, work_eval) per checkpoint evaluation.
+  std::vector<std::pair<int64_t, int64_t>> check_event_work;
 };
 
+/// The eager flavors: streaming CHECKs in pipelines and above joins.
+PopConfig EagerChecks() {
+  PopConfig pop;
+  pop.enable_ecb = true;
+  pop.enable_ecwc = true;
+  pop.enable_ecdc = true;
+  return pop;
+}
+
+/// The default flavors plus a work budget of twice the estimated cost.
+PopConfig WorkBound() {
+  PopConfig pop;
+  pop.work_bound_factor = 2;
+  return pop;
+}
+
 Outcome RunOnce(const Catalog& catalog, const QuerySpec& query,
-                int64_t batch_rows, PlanCache* cache = nullptr,
+                int64_t batch_rows, const PopConfig& pop = PopConfig{},
+                PlanCache* cache = nullptr,
                 QueryFeedbackStore* persistent_store = nullptr) {
-  ProgressiveExecutor exec(catalog, OptimizerConfig{}, PopConfig{});
+  ProgressiveExecutor exec(catalog, OptimizerConfig{}, pop);
   QueryFeedbackStore local_store;
   QueryFeedbackStore* store =
       persistent_store != nullptr ? persistent_store : &local_store;
@@ -80,7 +106,9 @@ Outcome RunOnce(const Catalog& catalog, const QuerySpec& query,
     o.check_events.emplace_back(ev.edge_set, static_cast<int>(ev.flavor),
                                 static_cast<int>(ev.site), ev.count,
                                 ev.fired);
+    o.check_event_work.emplace_back(ev.work_first, ev.work_eval);
   }
+  for (const AttemptInfo& a : stats.attempts) o.attempt_work.push_back(a.work);
   for (const auto& [sig, fb] : store->Dump()) {
     o.learned.emplace(sig, std::make_pair(fb.exact, fb.lower_bound));
   }
@@ -102,6 +130,10 @@ void ExpectSameOutcome(const Outcome& reference, const Outcome& batched,
       << label << ": CHECK decisions differ";
   EXPECT_EQ(reference.learned, batched.learned)
       << label << ": harvested feedback differs";
+  EXPECT_EQ(reference.attempt_work, batched.attempt_work)
+      << label << ": per-attempt work differs";
+  EXPECT_EQ(reference.check_event_work, batched.check_event_work)
+      << label << ": CHECK work positions differ";
 }
 
 /// Batch sizes per query: pathological small sizes that land CHECK
@@ -112,21 +144,25 @@ std::vector<int64_t> BatchSizes(Rng* rng) {
 }
 
 void SweepCorpus(const Catalog& catalog,
-                 const std::vector<QuerySpec>& corpus, const char* tag) {
+                 const std::vector<QuerySpec>& corpus, const char* tag,
+                 const PopConfig& pop = PopConfig{}) {
   Rng rng(0x51ed2705);
   for (const QuerySpec& q : corpus) {
-    const Outcome reference = RunOnce(catalog, q, /*batch_rows=*/1);
+    const Outcome reference = RunOnce(catalog, q, /*batch_rows=*/1, pop);
     for (int64_t batch : BatchSizes(&rng)) {
       SCOPED_TRACE(std::string(tag) + "/" + q.name() +
                    " batch_rows=" + std::to_string(batch));
-      const Outcome batched = RunOnce(catalog, q, batch);
+      const Outcome batched = RunOnce(catalog, q, batch, pop);
       ExpectSameOutcome(reference, batched,
                         std::string(tag) + "/" + q.name());
     }
   }
 }
 
-TEST(BatchDifferentialTest, TpchPaperQueriesPlainAndMarker) {
+/// The TPC-H paper subset, plain and with parameter markers; the marker
+/// variants inject estimation errors so checks actually fire and
+/// re-optimization runs at every batch size.
+void SweepTpch(const char* tag, const PopConfig& pop) {
   Catalog catalog;
   tpch::GenConfig gen;
   gen.scale = 0.002;
@@ -137,18 +173,16 @@ TEST(BatchDifferentialTest, TpchPaperQueriesPlainAndMarker) {
     corpus.push_back(tpch::MakeQuery(qnum));
     if (LightMode()) break;
   }
-  // Parameter-marker variants inject estimation errors so checks actually
-  // fire and re-optimization runs at every batch size.
   tpch::QueryOptions marked;
   marked.param_markers = true;
   for (int qnum : tpch::PaperQueries()) {
     corpus.push_back(tpch::MakeQuery(qnum, marked));
     if (LightMode()) break;
   }
-  SweepCorpus(catalog, corpus, "tpch");
+  SweepCorpus(catalog, corpus, tag, pop);
 }
 
-TEST(BatchDifferentialTest, DmvWorkload) {
+void SweepDmv(const char* tag, const PopConfig& pop) {
   Catalog catalog;
   dmv::GenConfig gen;
   gen.scale = 0.2;
@@ -156,7 +190,29 @@ TEST(BatchDifferentialTest, DmvWorkload) {
 
   dmv::WorkloadConfig wl;
   if (LightMode()) wl.num_queries = 4;
-  SweepCorpus(catalog, dmv::MakeWorkload(wl), "dmv");
+  SweepCorpus(catalog, dmv::MakeWorkload(wl), tag, pop);
+}
+
+TEST(BatchDifferentialTest, TpchPaperQueriesPlainAndMarker) {
+  SweepTpch("tpch", PopConfig{});
+}
+
+TEST(BatchDifferentialTest, TpchPaperQueriesEagerChecks) {
+  SweepTpch("tpch_eager", EagerChecks());
+}
+
+TEST(BatchDifferentialTest, TpchPaperQueriesWorkBound) {
+  SweepTpch("tpch_workbound", WorkBound());
+}
+
+TEST(BatchDifferentialTest, DmvWorkload) { SweepDmv("dmv", PopConfig{}); }
+
+TEST(BatchDifferentialTest, DmvWorkloadEagerChecks) {
+  SweepDmv("dmv_eager", EagerChecks());
+}
+
+TEST(BatchDifferentialTest, DmvWorkloadWorkBound) {
+  SweepDmv("dmv_workbound", WorkBound());
 }
 
 TEST(BatchDifferentialTest, Q10SelectivitySweepAgreesAtEverySize) {
@@ -210,11 +266,11 @@ TEST(BatchDifferentialTest, PlanCachePathAgrees) {
     for (int repeat = 0; repeat < 3; ++repeat) {
       SCOPED_TRACE("plan_cache/" + q.name() +
                    " repeat=" + std::to_string(repeat));
-      const Outcome reference =
-          RunOnce(catalog, q, /*batch_rows=*/1, &cache_one, &store_one);
-      const Outcome batched =
-          RunOnce(catalog, q, /*batch_rows=*/1024, &cache_batch,
-                  &store_batch);
+      const Outcome reference = RunOnce(catalog, q, /*batch_rows=*/1,
+                                        PopConfig{}, &cache_one, &store_one);
+      const Outcome batched = RunOnce(catalog, q, /*batch_rows=*/1024,
+                                      PopConfig{}, &cache_batch,
+                                      &store_batch);
       ExpectSameOutcome(reference, batched, "plan_cache/" + q.name());
     }
   }

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <memory>
+#include <tuple>
 
 #include "common/rng.h"
 #include "exec/agg.h"
@@ -621,123 +623,265 @@ TEST_F(OperatorTest, BatchWorkChargesMatchBatchSizeOne) {
   EXPECT_EQ(row_ctx.work, batch_ctx.work);
 }
 
+// -------------------------------- One pull rule: batch size 1 is exact.
+
+/// What a drained plan leaves behind that must not depend on the batch
+/// size.
+struct PlanOutcome {
+  ExecStatus status = ExecStatus::kOk;
+  std::vector<Row> rows;  ///< Emitted prefix, in order.
+  int64_t observed_rows = 0;
+  bool exact = false;  ///< ReoptSignal::exact.
+  std::vector<int64_t> rows_produced;  ///< Per operator, in pre-order.
+  int64_t work = 0;
+  /// (count, work_first, work_eval, fired) per checkpoint evaluation.
+  std::vector<std::tuple<int64_t, int64_t, int64_t, bool>> events;
+};
+
+void CollectRowsProduced(const Operator* op, std::vector<int64_t>* out) {
+  out->push_back(op->rows_produced());
+  for (const Operator* child : op->children()) CollectRowsProduced(child, out);
+}
+
+PlanOutcome RunPlan(Operator* root, int64_t batch_rows) {
+  ExecContext ctx;
+  ctx.batch_rows = batch_rows;
+  PlanOutcome o;
+  o.status = root->Open(&ctx);
+  if (o.status == ExecStatus::kOk) {
+    RowBatch batch;
+    while ((o.status = root->NextBatch(&ctx, &batch)) == ExecStatus::kRow) {
+      batch.MoveRowsInto(&o.rows);
+    }
+  }
+  root->Close(&ctx);
+  o.observed_rows = ctx.reopt.observed_rows;
+  o.exact = ctx.reopt.exact;
+  CollectRowsProduced(root, &o.rows_produced);
+  o.work = ctx.work;
+  for (const CheckEvent& ev : ctx.check_events) {
+    o.events.emplace_back(ev.count, ev.work_first, ev.work_eval, ev.fired);
+  }
+  return o;
+}
+
+/// Runs the plan `make` builds at batch sizes 1, 2, 3, 7 and 1024 and
+/// expects every size to match batch size 1, whose outcome it returns.
+PlanOutcome ExpectSameAsBatchSizeOne(
+    const std::function<std::unique_ptr<Operator>()>& make) {
+  PlanOutcome reference;
+  for (const int64_t batch_rows : {1, 2, 3, 7, 1024}) {
+    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
+    const std::unique_ptr<Operator> root = make();
+    PlanOutcome o = RunPlan(root.get(), batch_rows);
+    if (batch_rows == 1) {
+      reference = std::move(o);
+      continue;
+    }
+    EXPECT_EQ(reference.status, o.status);
+    EXPECT_EQ(reference.rows, o.rows);
+    EXPECT_EQ(reference.observed_rows, o.observed_rows);
+    EXPECT_EQ(reference.exact, o.exact);
+    EXPECT_EQ(reference.rows_produced, o.rows_produced);
+    EXPECT_EQ(reference.work, o.work);
+    EXPECT_EQ(reference.events, o.events);
+  }
+  return reference;
+}
+
+/// HSJN or NLJN of `outer` with the right table on key = key.
+std::unique_ptr<Operator> JoinRight(JoinFixture* f, bool hash_join,
+                                    std::unique_ptr<Operator> outer) {
+  if (hash_join) {
+    return std::make_unique<HsjnOp>(
+        std::move(outer), f->ScanRight(), std::vector<int>{0},
+        std::vector<int>{0}, f->JoinMerge(), TableBit(0) | TableBit(1),
+        CheckSpec{}, false);
+  }
+  InnerAccess inner;
+  inner.table = &f->right_;
+  inner.table_id = 1;
+  inner.join_conds = {{0, 0}};
+  return std::make_unique<NljnOp>(std::move(outer), std::move(inner),
+                                  f->JoinMerge(), TableBit(0) | TableBit(1));
+}
+
 TEST_F(OperatorTest, CheckAboveJoinsMatchesBatchSizeOne) {
-  // An enforced CHECK clamps its child to the rows left before the
-  // violation, but a join reads its outer (probe) side in batches of that
-  // size, and the in-memory HSJN probe also emits every match of each
-  // probe row it pulls, past the clamp. Every left row with key < 5
-  // matches 5 right rows (keys 5..9 match none). hi = 11.5 fires on the
-  // 12th output row, the second match of the third matching outer row: the
-  // CHECK emits 11 rows, and the join and its outer scan must account for
-  // exactly the 12 output rows and 3 outer rows batch size 1 consumed.
+  // An enforced CHECK bounds its subtree to the rows before the violation,
+  // and a join then reads its outer (probe) side one row at a time and
+  // emits no more than its target. Every left row with key < 5 matches 5
+  // right rows (keys 5..9 match none). hi = 11.5 fires on the 12th output
+  // row, the second match of the third matching outer row: the CHECK emits
+  // 11 rows, and the join and its outer scan produce exactly the 12 output
+  // rows and 3 outer rows batch size 1 consumed.
   ResolvedPredicate matching{0, PredKind::kLt, Value::Int(5), {}, {}};
   for (const bool hash_join : {true, false}) {
     for (const bool all_outer_rows_match : {true, false}) {
-      std::vector<Row> reference;
-      for (const int64_t batch_rows : {1, 2, 3, 1024}) {
-        SCOPED_TRACE(std::string(hash_join ? "HSJN" : "NLJN") +
-                     " all_outer_rows_match=" +
-                     std::to_string(all_outer_rows_match) +
-                     " batch_rows=" + std::to_string(batch_rows));
-        ExecContext ctx;
-        ctx.batch_rows = batch_rows;
-        auto outer = all_outer_rows_match ? ScanLeft({matching}) : ScanLeft();
-        const Operator* outer_scan = outer.get();
-        std::unique_ptr<Operator> join;
-        if (hash_join) {
-          join = std::make_unique<HsjnOp>(
-              std::move(outer), ScanRight(), std::vector<int>{0},
-              std::vector<int>{0}, JoinMerge(), TableBit(0) | TableBit(1),
-              CheckSpec{}, false);
-        } else {
-          InnerAccess inner;
-          inner.table = &right_;
-          inner.table_id = 1;
-          inner.join_conds = {{0, 0}};
-          join = std::make_unique<NljnOp>(std::move(outer), std::move(inner),
-                                          JoinMerge(),
-                                          TableBit(0) | TableBit(1));
-        }
-        const Operator* join_op = join.get();
-        CheckOp check(std::move(join), MakeCheck(0, 11.5));
-        ExecStatus s;
-        const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
-        EXPECT_EQ(ExecStatus::kReoptimize, s);
-        if (batch_rows == 1) reference = rows;
-        EXPECT_EQ(11u, rows.size());
-        EXPECT_EQ(reference, rows);  // Same emitted prefix, in order.
-        EXPECT_EQ(12, ctx.reopt.observed_rows);
-        EXPECT_FALSE(ctx.reopt.exact);
-        EXPECT_EQ(12, join_op->rows_produced());
-        EXPECT_EQ(3, outer_scan->rows_produced());
-        EXPECT_EQ(11, check.rows_produced());
-      }
+      SCOPED_TRACE(std::string(hash_join ? "HSJN" : "NLJN") +
+                   " all_outer_rows_match=" +
+                   std::to_string(all_outer_rows_match));
+      const PlanOutcome o = ExpectSameAsBatchSizeOne([&] {
+        return std::make_unique<CheckOp>(
+            JoinRight(this, hash_join,
+                      all_outer_rows_match ? ScanLeft({matching})
+                                           : ScanLeft()),
+            MakeCheck(0, 11.5));
+      });
+      EXPECT_EQ(ExecStatus::kReoptimize, o.status);
+      EXPECT_EQ(11u, o.rows.size());
+      EXPECT_EQ(12, o.observed_rows);
+      EXPECT_FALSE(o.exact);
+      // CHECK, join, outer scan (and the HSJN build scan).
+      EXPECT_EQ(11, o.rows_produced[0]);
+      EXPECT_EQ(12, o.rows_produced[1]);
+      EXPECT_EQ(3, o.rows_produced[2]);
     }
   }
 }
 
-TEST_F(OperatorTest, BufCheckValveAboveHsjnReleasesAtLowerBound) {
-  // A [lo, inf) valve clamps its child to the rows left before lo, but the
-  // in-memory HSJN probe emits all 5 matches of every probe row it pulls.
-  // The checkpoint event must still record the count at the release row,
-  // as at batch size 1, and every joined row must come through.
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (const int64_t batch_rows : {1, 2, 3, 1024}) {
-    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
-    ExecContext ctx;
-    ctx.batch_rows = batch_rows;
-    BufCheckOp check(std::make_unique<HsjnOp>(
-                         ScanLeft(), ScanRight(), std::vector<int>{0},
-                         std::vector<int>{0}, JoinMerge(),
-                         TableBit(0) | TableBit(1), CheckSpec{}, false),
-                     MakeCheck(7, kInf));
-    ExecStatus s;
-    const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
-    EXPECT_EQ(ExecStatus::kEof, s);
-    EXPECT_EQ(ReferenceJoin(), rows);
-    ASSERT_EQ(1u, ctx.check_events.size());
-    EXPECT_FALSE(ctx.check_events[0].fired);
-    EXPECT_EQ(7, ctx.check_events[0].count);  // Released at the lo-th row.
+TEST_F(OperatorTest, CheckAboveFilterOrProjectAboveJoinMatchesBatchSizeOne) {
+  // A FILTER or PROJECT between the CHECK and the join passes the bound
+  // through, so the join below reads no probe row ahead of the decision.
+  ResolvedPredicate low_val{3, PredKind::kLt, Value::Int(120), {}, {}};
+  for (const bool hash_join : {true, false}) {
+    for (const bool filter : {true, false}) {
+      SCOPED_TRACE(std::string(hash_join ? "HSJN" : "NLJN") +
+                   (filter ? " FILTER" : " PROJECT"));
+      const PlanOutcome o = ExpectSameAsBatchSizeOne([&] {
+        std::unique_ptr<Operator> join =
+            JoinRight(this, hash_join, ScanLeft());
+        std::unique_ptr<Operator> mid;
+        if (filter) {
+          mid = std::make_unique<FilterOp>(
+              std::move(join), std::vector<ResolvedPredicate>{low_val},
+              TableBit(0) | TableBit(1));
+        } else {
+          mid = std::make_unique<ProjectOp>(std::move(join),
+                                            std::vector<int>{1, 3});
+        }
+        return std::make_unique<CheckOp>(std::move(mid), MakeCheck(0, 11.5));
+      });
+      EXPECT_EQ(ExecStatus::kReoptimize, o.status);
+      EXPECT_EQ(11u, o.rows.size());
+      EXPECT_EQ(12, o.observed_rows);
+    }
   }
+}
+
+TEST_F(OperatorTest, CheckAboveJoinWithFilteredProbeMatchesBatchSizeOne) {
+  // A FILTER on the probe (outer) side receives the join's one-row pulls,
+  // so its scan reads no row ahead of the decision either.
+  ResolvedPredicate odd_tag{1, PredKind::kGe, Value::Int(13), {}, {}};
+  for (const bool hash_join : {true, false}) {
+    SCOPED_TRACE(hash_join ? "HSJN" : "NLJN");
+    const PlanOutcome o = ExpectSameAsBatchSizeOne([&] {
+      auto probe = std::make_unique<FilterOp>(
+          ScanLeft(), std::vector<ResolvedPredicate>{odd_tag}, TableBit(0));
+      return std::make_unique<CheckOp>(
+          JoinRight(this, hash_join, std::move(probe)), MakeCheck(0, 11.5));
+    });
+    EXPECT_EQ(ExecStatus::kReoptimize, o.status);
+    EXPECT_EQ(11u, o.rows.size());
+  }
+}
+
+TEST_F(OperatorTest, CheckUnderTempAboveJoinRecordsBatchSizeOneWork) {
+  // The consumer above a checkpoint charges each row it takes in; the
+  // deciding row arrives alone, so the event's work positions include the
+  // consumer's charges for every earlier row, as at batch size 1. Both
+  // the enforced and the observed flavor.
+  for (const bool observe : {false, true}) {
+    SCOPED_TRACE(observe ? "observe" : "enforce");
+    const PlanOutcome o = ExpectSameAsBatchSizeOne([&] {
+      return std::make_unique<TempOp>(
+          std::make_unique<CheckOp>(JoinRight(this, true, ScanLeft()),
+                                    MakeCheck(0, 11.5, observe)),
+          TableBit(0) | TableBit(1));
+    });
+    ASSERT_EQ(1u, o.events.size());
+    EXPECT_TRUE(std::get<3>(o.events[0]));
+    EXPECT_EQ(12, std::get<0>(o.events[0]));
+  }
+}
+
+TEST_F(OperatorTest, BufCheckAboveNljnFiresAsAtBatchSizeOne) {
+  // An enforced BUFCHECK (ECB) drains the NLJN one outer row at a time up
+  // to the violating row, also under a TEMP (LCEM above ECB).
+  for (const bool temp : {false, true}) {
+    SCOPED_TRACE(temp ? "TEMP" : "bare");
+    const PlanOutcome o = ExpectSameAsBatchSizeOne([&] {
+      std::unique_ptr<Operator> check = std::make_unique<BufCheckOp>(
+          JoinRight(this, false, ScanLeft()), MakeCheck(0, 11.5));
+      if (!temp) return check;
+      return std::unique_ptr<Operator>(
+          std::make_unique<TempOp>(std::move(check), TableBit(0)));
+    });
+    EXPECT_EQ(ExecStatus::kReoptimize, o.status);
+    EXPECT_EQ(12, o.observed_rows);
+  }
+}
+
+TEST_F(OperatorTest, WorkBoundAboveHsjnFiresAsAtBatchSizeOne) {
+  // WORKBOUND compares the work after every row, its consumers' charges
+  // included: it reads and emits one row at a time whatever the batch
+  // size, under a charging PROJECT as well as bare.
+  for (const bool project : {false, true}) {
+    SCOPED_TRACE(project ? "PROJECT" : "bare");
+    const PlanOutcome o = ExpectSameAsBatchSizeOne([&] {
+      std::unique_ptr<Operator> bound = std::make_unique<WorkBoundOp>(
+          JoinRight(this, true, ScanLeft()), /*work_budget=*/100,
+          TableBit(0) | TableBit(1));
+      if (!project) return bound;
+      return std::unique_ptr<Operator>(std::make_unique<ProjectOp>(
+          std::move(bound), std::vector<int>{0, 3}));
+    });
+    EXPECT_EQ(ExecStatus::kReoptimize, o.status);
+    EXPECT_GT(o.observed_rows, 0);
+    EXPECT_LT(o.observed_rows, 100);  // Fired mid-stream.
+  }
+}
+
+TEST_F(OperatorTest, BufCheckValveAboveHsjnReleasesAtLowerBound) {
+  // A [lo, inf) valve bounds its child to the rows before lo, and the
+  // in-memory HSJN probe emits no more than that. The checkpoint event
+  // records the count at the release row, as at batch size 1, and every
+  // joined row comes through.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const PlanOutcome o = ExpectSameAsBatchSizeOne([&] {
+    return std::make_unique<BufCheckOp>(JoinRight(this, true, ScanLeft()),
+                                        MakeCheck(7, kInf));
+  });
+  EXPECT_EQ(ExecStatus::kEof, o.status);
+  EXPECT_EQ(ReferenceJoin(), o.rows);
+  ASSERT_EQ(1u, o.events.size());
+  EXPECT_FALSE(std::get<3>(o.events[0]));
+  EXPECT_EQ(7, std::get<0>(o.events[0]));  // Released at the lo-th row.
 }
 
 TEST_F(OperatorTest, MgjnPullsSortedInputsRowByRow) {
   // MGJN reads both sorted inputs one row at a time whatever the batch
   // size, so a CHECK firing above it sees the same rows, the same work and
   // the same input consumption as at batch size 1.
-  std::vector<Row> reference;
-  int64_t reference_work = -1;
-  for (const int64_t batch_rows : {1, 3, 1024}) {
-    SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows));
-    ExecContext ctx;
-    ctx.batch_rows = batch_rows;
-    auto lsort = std::make_unique<SortOp>(
-        ScanLeft(), std::vector<SortKey>{{0, false}}, TableBit(0));
-    auto rsort = std::make_unique<SortOp>(
-        ScanRight(), std::vector<SortKey>{{0, false}}, TableBit(1));
-    const Operator* left = lsort.get();
-    const Operator* right = rsort.get();
-    CheckOp check(std::make_unique<MgjnOp>(std::move(lsort), std::move(rsort),
-                                           std::vector<int>{0},
-                                           std::vector<int>{0}, JoinMerge(),
-                                           TableBit(0) | TableBit(1)),
-                  MakeCheck(0, 11.5));
-    ExecStatus s;
-    const std::vector<Row> rows = DrainBatches(&check, &ctx, &s);
-    EXPECT_EQ(ExecStatus::kReoptimize, s);
-    if (batch_rows == 1) {
-      reference = rows;
-      reference_work = ctx.work;
-    }
-    EXPECT_EQ(11u, rows.size());
-    EXPECT_EQ(reference, rows);
-    EXPECT_EQ(reference_work, ctx.work);
-    // Key 0 has 4 left and 5 right rows; the 12th match is the third left
-    // row's second. MGJN has read 3 left rows and the 5-row right group
-    // plus the first right row of key 1.
-    EXPECT_EQ(3, left->rows_produced());
-    EXPECT_EQ(6, right->rows_produced());
-  }
+  const PlanOutcome o = ExpectSameAsBatchSizeOne([&] {
+    return std::make_unique<CheckOp>(
+        std::make_unique<MgjnOp>(
+            std::make_unique<SortOp>(
+                ScanLeft(), std::vector<SortKey>{{0, false}}, TableBit(0)),
+            std::make_unique<SortOp>(
+                ScanRight(), std::vector<SortKey>{{0, false}}, TableBit(1)),
+            std::vector<int>{0}, std::vector<int>{0}, JoinMerge(),
+            TableBit(0) | TableBit(1)),
+        MakeCheck(0, 11.5));
+  });
+  EXPECT_EQ(ExecStatus::kReoptimize, o.status);
+  EXPECT_EQ(11u, o.rows.size());
+  // Key 0 has 4 left and 5 right rows; the 12th match is the third left
+  // row's second. MGJN has read 3 left rows and the 5-row right group
+  // plus the first right row of key 1. Pre-order: CHECK, MGJN, left SORT,
+  // its scan, right SORT, its scan.
+  ASSERT_EQ(6u, o.rows_produced.size());
+  EXPECT_EQ(3, o.rows_produced[2]);
+  EXPECT_EQ(6, o.rows_produced[4]);
 }
 
 // ------------------------------------------------- RidTrack/AntiCompensate.
